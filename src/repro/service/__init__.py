@@ -18,6 +18,9 @@ Layers, bottom to top:
 * :mod:`~repro.service.sessions` — the :class:`SessionManager`:
   admission control, the shared budget pool, cross-session rebalance,
   and the per-session enforcement ladder (:mod:`repro.enforce`);
+* :mod:`~repro.service.transport` — the socket layer the daemon and
+  the router share: line framing, ordered replies, pipelined worker
+  channels;
 * :mod:`~repro.service.server` — the asyncio daemon (:func:`serve`,
   :class:`ServerThread`);
 * :mod:`~repro.service.vexec` — the vectorized execution backend

@@ -92,7 +92,7 @@ PROTOCOL_VERSION = 3
 #: Versions a v3 server still serves (v2 clients lack ``batch_step``).
 SUPPORTED_VERSIONS = (2, 3)
 
-#: Upper bound on one encoded message (guards the server's readline).
+#: Upper bound on one encoded message (enforced by the line transport).
 MAX_LINE_BYTES = 1_000_000
 
 #: Upper bound on measurements in one ``batch_step`` frame.

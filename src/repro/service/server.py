@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import os
-import threading
 import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..obs.http import MetricsHTTPServer
 from .protocol import (
@@ -32,7 +30,6 @@ from .protocol import (
     batch_measurements_from_payload,
     decision_payload,
     decode_message,
-    encode_message,
     error_response,
     measurement_from_payload,
     negotiate_version,
@@ -42,6 +39,7 @@ from .protocol import (
     sensor_ok_from_payload,
 )
 from .sessions import SessionError, SessionKilled, SessionManager
+from .transport import LineServer, LoopThread
 from .vexec import VexecEngine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -58,7 +56,7 @@ __all__ = [
 RID_CACHE_MAX = 1024
 
 
-class ServiceServer:
+class ServiceServer(LineServer):
     """Serves one :class:`SessionManager` over TCP and/or Unix sockets.
 
     Parameters
@@ -118,8 +116,7 @@ class ServiceServer:
         vexec_max_delay_us: float = 150.0,
         vexec_solo_after: Optional[int] = None,
     ) -> None:
-        if host is None and unix_path is None:
-            raise ValueError("need a TCP host and/or a unix socket path")
+        super().__init__(host, port, unix_path, metrics_host, metrics_port)
         if reap_interval_s <= 0:
             raise ValueError("reap interval must be positive")
         if exec_mode not in ("scalar", "vector"):
@@ -134,20 +131,11 @@ class ServiceServer:
         self._vexec_max_delay_us = vexec_max_delay_us
         self._vexec_solo_after = vexec_solo_after
         self._rid_inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        self.host = host
-        self.port = port
-        self.unix_path = unix_path
         self.reap_interval_s = reap_interval_s
         self.chaos = chaos
         self.admin = admin
-        self.metrics_host = metrics_host
-        self.metrics_port = metrics_port
         self._metrics_http: Optional[MetricsHTTPServer] = None
-        self._tcp_server: Optional[asyncio.AbstractServer] = None
-        self._unix_server: Optional[asyncio.AbstractServer] = None
         self._reaper: Optional[asyncio.Task] = None
-        self.connections = 0
-        self.connection_errors = 0
         self.replayed_responses = 0
         self.chaos_dropped_requests = 0
         self.chaos_dropped_responses = 0
@@ -167,18 +155,7 @@ class ServiceServer:
                 **kwargs,
             )
             self.vexec.start()
-        if self.host is not None:
-            self._tcp_server = await asyncio.start_server(
-                self._serve_connection, host=self.host, port=self.port
-            )
-            # Baselined JGF101: start() runs once, before any other
-            # coroutine of this server exists, so writing the bound
-            # port back across the await cannot race.
-            self.port = self._tcp_server.sockets[0].getsockname()[1]
-        if self.unix_path is not None:
-            self._unix_server = await asyncio.start_unix_server(
-                self._serve_connection, path=self.unix_path
-            )
+        await self._listen(self.port)
         if self.metrics_host is not None:
             self._metrics_http = MetricsHTTPServer(
                 self.manager.telemetry.registry,
@@ -191,22 +168,8 @@ class ServiceServer:
             self._reap_forever()
         )
 
-    @property
-    def tcp_address(self) -> Optional[Tuple[str, int]]:
-        """The bound ``(host, port)``, once started with TCP enabled."""
-        if self.host is None:
-            return None
-        return (self.host, self.port)
-
-    @property
-    def metrics_address(self) -> Optional[Tuple[str, int]]:
-        """The bound metrics ``(host, port)``, when enabled."""
-        if self.metrics_host is None:
-            return None
-        return (self.metrics_host, self.metrics_port)
-
     async def aclose(self) -> None:
-        """Stop listeners, the reaper, and close every live session.
+        """Stop listeners, live connections, the reaper; close sessions.
 
         The handles are captured and cleared *before* any await
         (jgflow JGF101): a second ``aclose`` racing this one on the
@@ -214,25 +177,17 @@ class ServiceServer:
         instead of cancelling/closing the same handles twice.
         """
         reaper, self._reaper = self._reaper, None
-        servers = (self._tcp_server, self._unix_server)
-        self._tcp_server = None
-        self._unix_server = None
         metrics_http, self._metrics_http = self._metrics_http, None
         vexec, self.vexec = self.vexec, None
         if reaper is not None:
             reaper.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await reaper
-        for server in servers:
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        await self._close_listeners()
         if metrics_http is not None:
             await metrics_http.aclose()
         if vexec is not None:
             await vexec.aclose()
-        if self.unix_path is not None and os.path.exists(self.unix_path):
-            os.unlink(self.unix_path)
         self.manager.close_all()
 
     async def _reap_forever(self) -> None:
@@ -241,59 +196,46 @@ class ServiceServer:
             self.manager.reap_idle()
 
     # -- connection handling ---------------------------------------------------
-    async def _serve_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.connections += 1
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
-                    self.connection_errors += 1
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                action = "deliver"
-                if self.chaos is not None:
-                    action = self.chaos.on_request()
-                    delay_s = self.chaos.delay_for()
-                    if delay_s > 0.0:
-                        await asyncio.sleep(delay_s)
-                if action == "drop_request":
-                    # The request "never arrived": no processing, and the
-                    # connection dies so the client sees a reset.
-                    self.chaos_dropped_requests += 1
-                    break
-                if self.vexec is not None:
-                    response = await self.handle_line_async(line)
-                else:
-                    response = self.handle_line(line)
-                if action == "drop_response":
-                    # Processed, but the answer is "lost on the wire".
-                    # The rid cache is what lets a retry recover this.
-                    self.chaos_dropped_responses += 1
-                    break
-                # THROTTLE tier: duty-cycle the session's step loop by
-                # holding the response back — the client cannot send
-                # its next heartbeat until this one is answered.
-                throttle_s = _throttle_of(response)
-                if throttle_s > 0.0:
-                    await asyncio.sleep(throttle_s)
-                writer.write(encode_message(response))
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    self.connection_errors += 1
-                    break
-        finally:
-            writer.close()
-            with contextlib.suppress(ConnectionError):
-                await writer.wait_closed()
+    def _serve_line(self, line: bytes) -> Any:
+        """Answer inline, or hand the transport an awaitable."""
+        response = None
+        if self.chaos is None and self.vexec is None:
+            response = self.handle_line(line)
+            if _throttle_of(response) <= 0.0:
+                return response
+        return self._serve_suspended(line, response)
+
+    async def _serve_suspended(
+        self, line: bytes, response: Optional[Dict[str, Any]]
+    ) -> Optional[Dict[str, Any]]:
+        """Chaos, vexec and THROTTLE holds; ``None`` hangs up."""
+        if response is None:
+            action = "deliver"
+            if self.chaos is not None:
+                action = self.chaos.on_request()
+                delay_s = self.chaos.delay_for()
+                if delay_s > 0.0:
+                    await asyncio.sleep(delay_s)
+            if action == "drop_request":
+                # The request "never arrived": no processing, and the
+                # connection dies so the client sees it closed.
+                self.chaos_dropped_requests += 1
+                return None
+            if self.vexec is not None:
+                response = await self.handle_line_async(line)
+            else:
+                response = self.handle_line(line)
+            if action == "drop_response":
+                # Processed, but the answer is "lost on the wire".
+                # The rid cache is what lets a retry recover this.
+                self.chaos_dropped_responses += 1
+                return None
+        # THROTTLE tier: duty-cycle the session's step loop by holding
+        # the response back; later lines on this connection wait too.
+        throttle_s = _throttle_of(response)
+        if throttle_s > 0.0:
+            await asyncio.sleep(throttle_s)
+        return response
 
     # -- dispatch (synchronous: one request, one response) ---------------------
     def handle_line(self, line: bytes) -> Dict[str, Any]:
@@ -308,7 +250,6 @@ class ServiceServer:
         started_s = time.perf_counter()
         request_type = "invalid"
         rid: Optional[str] = None
-        cache = True
         try:
             message = decode_message(line)
             rid = request_id_of(message)
@@ -318,27 +259,27 @@ class ServiceServer:
                 return self._rid_cache[rid]
             request_type, fields = parse_request(message)
             response = self._dispatch(request_type, fields)
-        except ProtocolError as exc:
-            cache = False
-            response = error_response(exc.code, exc.message)
-        except SessionError as exc:
-            cache = False
-            response = error_response(exc.code, exc.message, exc.data)
         except Exception as exc:  # daemon must answer every request
-            cache = False
-            response = error_response(
-                "internal", f"{type(exc).__name__}: {exc}"
-            )
-        if cache and rid is not None:
+            response = _error_envelope(exc)
+        return self._answered(request_type, response, rid, started_s)
+
+    def _answered(
+        self,
+        request_type: str,
+        response: Dict[str, Any],
+        rid: Optional[str],
+        started_s: float,
+    ) -> Dict[str, Any]:
+        """Cache an ok response by rid; record the request's telemetry."""
+        ok = bool(response.get("ok", False))
+        if ok and rid is not None:
             response = dict(response)
             response["rid"] = rid
             self._rid_cache[rid] = response
             while len(self._rid_cache) > RID_CACHE_MAX:
                 self._rid_cache.popitem(last=False)
         self.manager.telemetry.record_request(
-            request_type,
-            bool(response.get("ok", False)),
-            time.perf_counter() - started_s,
+            request_type, ok, time.perf_counter() - started_s
         )
         return response
 
@@ -364,10 +305,9 @@ class ServiceServer:
             message = decode_message(line)
             rid = request_id_of(message)
         except ProtocolError as exc:
-            self.manager.telemetry.record_request(
-                "invalid", False, time.perf_counter() - started_s
+            return self._answered(
+                "invalid", _error_envelope(exc), None, started_s
             )
-            return error_response(exc.code, exc.message)
         if rid is None:
             return await self._execute_line_async(
                 message, None, started_s
@@ -416,50 +356,16 @@ class ServiceServer:
     ) -> Dict[str, Any]:
         """Dispatch one decoded request; cache ok responses by rid."""
         request_type = "invalid"
-        cache = True
         try:
             request_type, fields = parse_request(message)
             if request_type in ("step", "batch_step"):
-                response = await self._dispatch_vexec(
-                    request_type, fields
-                )
+                handler = getattr(self, f"_handle_{request_type}_vexec")
+                response = await handler(fields)
             else:
                 response = self._dispatch(request_type, fields)
-        except ProtocolError as exc:
-            cache = False
-            response = error_response(exc.code, exc.message)
-        except SessionError as exc:
-            cache = False
-            response = error_response(
-                exc.code, exc.message, exc.data
-            )
-        except asyncio.CancelledError:
-            raise
         except Exception as exc:  # daemon must answer every request
-            cache = False
-            response = error_response(
-                "internal", f"{type(exc).__name__}: {exc}"
-            )
-        if cache and rid is not None:
-            response = dict(response)
-            response["rid"] = rid
-            self._rid_cache[rid] = response
-            while len(self._rid_cache) > RID_CACHE_MAX:
-                self._rid_cache.popitem(last=False)
-        self.manager.telemetry.record_request(
-            request_type,
-            bool(response.get("ok", False)),
-            time.perf_counter() - started_s,
-        )
-        return response
-
-    async def _dispatch_vexec(
-        self, request_type: str, fields: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """step/batch_step through the vectorized gather window."""
-        if request_type == "step":
-            return await self._handle_step_vexec(fields)
-        return await self._handle_batch_step_vexec(fields)
+            response = _error_envelope(exc)
+        return self._answered(request_type, response, rid, started_s)
 
     async def _handle_step_vexec(
         self, fields: Dict[str, Any]
@@ -796,6 +702,15 @@ class ServiceServer:
         )
 
 
+def _error_envelope(exc: Exception) -> Dict[str, Any]:
+    """The error response for an exception raised while answering."""
+    if isinstance(exc, ProtocolError):
+        return error_response(exc.code, exc.message)
+    if isinstance(exc, SessionError):
+        return error_response(exc.code, exc.message, exc.data)
+    return error_response("internal", f"{type(exc).__name__}: {exc}")
+
+
 def _throttle_of(response: Dict[str, Any]) -> float:
     """The duty-cycle sleep a response asks the server to inject."""
     enforcement = response.get("enforcement")
@@ -805,14 +720,6 @@ def _throttle_of(response: Dict[str, Any]) -> float:
     if not isinstance(throttle_s, (int, float)):
         return 0.0
     return max(0.0, float(throttle_s))
-
-
-async def _serve_until_cancelled(server: ServiceServer) -> None:
-    await server.start()
-    try:
-        await asyncio.Event().wait()  # sleep until cancelled
-    finally:
-        await server.aclose()
 
 
 def serve(
@@ -859,7 +766,7 @@ def serve(
         asyncio.run(_main())
 
 
-class ServerThread:
+class ServerThread(LoopThread):
     """A daemon running in a background thread (tests and benchmarks).
 
     >>> manager = SessionManager(global_budget_j=1e6)
@@ -899,62 +806,4 @@ class ServerThread:
             exec_mode=exec_mode,
             vexec_solo_after=vexec_solo_after,
         )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def unix_path(self) -> Optional[str]:
-        return self.server.unix_path
-
-    @property
-    def tcp_address(self) -> Optional[Tuple[str, int]]:
-        return self.server.tcp_address
-
-    @property
-    def metrics_address(self) -> Optional[Tuple[str, int]]:
-        return self.server.metrics_address
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self.server.start())
-        except BaseException as exc:  # surface bind errors to the caller
-            self._startup_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()
-            loop.run_until_complete(self.server.aclose())
-        finally:
-            loop.close()
-
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._run, name="jouleguard-service", daemon=True
-        )
-        self._thread.start()
-        self._started.wait(timeout=10.0)
-        if self._startup_error is not None:
-            raise RuntimeError(
-                "service failed to start"
-            ) from self._startup_error
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._thread is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
-            self._loop = None
-            self._thread = None
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+        super().__init__(self.server, "jouleguard-service", 10.0)

@@ -45,11 +45,12 @@ can never collide with the dead worker's.  Workers share the router's
 store across the crash.
 
 Known serialization caveats (documented, asserted by the lockstep rig
-only under serial driving): the router multiplexes all client
-connections onto one connection per worker, so a THROTTLE sleep on one
-session delays that worker's other sessions; and a rebalance gathers
-inputs worker-by-worker, so opens racing a rebalance on another
-connection may observe a mid-transfer pool.
+only under serial driving): the router pipelines all client
+connections onto one :class:`~repro.service.transport.LineChannel` per
+worker, answered in order, so a THROTTLE sleep on one session delays
+that worker's other sessions; and a rebalance gathers inputs
+worker-by-worker, so opens racing a rebalance on another connection
+may observe a mid-transfer pool.
 """
 
 from __future__ import annotations
@@ -64,11 +65,10 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.events import EventLog
 from ..obs.http import MetricsHTTPServer
@@ -86,8 +86,9 @@ from .protocol import (
     parse_request,
     request_id_of,
 )
-from .server import RID_CACHE_MAX
+from .server import RID_CACHE_MAX, _error_envelope
 from .sessions import SessionError, plan_rebalance
+from .transport import LineChannel, LineServer, LoopThread
 
 __all__ = [
     "LEASE_FLOOR_J",
@@ -106,12 +107,6 @@ LEASE_FLOOR_J = 1e-6
 SESSION_PREFIX_RE = re.compile(r"^w(\d+)e(\d+)-")
 
 _RING_VNODES = 64
-
-#: Lines a connection reads ahead of the executing request.  Read-ahead
-#: exists so a vanished client is noticed *while* its request is in
-#: flight (expiring the rid reservation immediately); the bound keeps a
-#: flooding client from buffering unbounded pipeline in router memory.
-_READAHEAD_LINES = 64
 
 
 def _hash64(key: str) -> int:
@@ -163,10 +158,8 @@ class WorkerHandle:
         self.unix_path = unix_path
         self.process = process
         self.log_path = log_path
-        self.reader: Optional[asyncio.StreamReader] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
-        #: Serializes request/response pairs on the single connection.
-        self.lock = asyncio.Lock()
+        #: The pipelined connection to the worker, once it answered.
+        self.channel: Optional[LineChannel] = None
         #: Serializes admissions (open → lease shortfall → retry) and
         #: surplus reclaims on this worker.  Without it, two concurrent
         #: opens can interleave so one consumes the lease the other
@@ -185,10 +178,10 @@ class WorkerHandle:
         return f"w{self.index}e{self.epoch}-"
 
     def alive(self) -> bool:
-        return self.process.poll() is None and self.writer is not None
+        return self.process.poll() is None and self.channel is not None
 
 
-class ShardRouter:
+class ShardRouter(LineServer):
     """Routes the client protocol onto a pool of worker processes.
 
     Speaks the same wire protocol as a single daemon (clients cannot
@@ -223,8 +216,7 @@ class ShardRouter:
     ) -> None:
         if n_shards < 1:
             raise ValueError("need at least one shard")
-        if host is None and unix_path is None:
-            raise ValueError("need a TCP host and/or a unix socket path")
+        super().__init__(host, port, unix_path, metrics_host, metrics_port)
         if rebalance_period < 1:
             raise ValueError("rebalance period must be >= 1")
         if not 0.0 < transfer_fraction <= 1.0:
@@ -235,17 +227,12 @@ class ShardRouter:
         self.exec_mode = exec_mode
         self.vexec_solo_after = vexec_solo_after
         self.budget_j = budget_j
-        self.host = host
-        self.port = port
-        self.unix_path = unix_path
         self.state_dir = state_dir
         self.run_dir = run_dir
         self.rebalance_period = rebalance_period
         self.transfer_fraction = transfer_fraction
         self.idle_timeout_s = idle_timeout_s
         self.reap_interval_s = reap_interval_s
-        self.metrics_host = metrics_host
-        self.metrics_port = metrics_port
         self.worker_ready_timeout_s = worker_ready_timeout_s
         self.python = python or sys.executable
 
@@ -261,10 +248,6 @@ class ShardRouter:
         self._rid_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._rid_inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self.replayed_responses = 0
-        self.connections = 0
-        self.connection_errors = 0
-        self._tcp_server: Optional[asyncio.AbstractServer] = None
-        self._unix_server: Optional[asyncio.AbstractServer] = None
         self._metrics_http: Optional[MetricsHTTPServer] = None
         self._owns_run_dir: Optional[tempfile.TemporaryDirectory] = None
 
@@ -341,15 +324,7 @@ class ShardRouter:
         self._ring = HashRing(list(range(self.n_shards)))
         self.m_workers.labels().set(float(self.n_shards))
         self.m_unleased.labels().set(self.ledger.available_j)
-        if self.host is not None:
-            self._tcp_server = await asyncio.start_server(
-                self._serve_connection, host=self.host, port=self.port
-            )
-            self.port = self._tcp_server.sockets[0].getsockname()[1]
-        if self.unix_path is not None:
-            self._unix_server = await asyncio.start_unix_server(
-                self._serve_connection, path=self.unix_path
-            )
+        await self._listen(self.port)
         if self.metrics_host is not None:
             self._metrics_http = MetricsHTTPServer(
                 self.registry,
@@ -359,31 +334,12 @@ class ShardRouter:
             await self._metrics_http.start()
             self.metrics_port = self._metrics_http.address[1]
 
-    @property
-    def tcp_address(self) -> Optional[Tuple[str, int]]:
-        if self.host is None:
-            return None
-        return (self.host, self.port)
-
-    @property
-    def metrics_address(self) -> Optional[Tuple[str, int]]:
-        if self.metrics_host is None:
-            return None
-        return (self.metrics_host, self.metrics_port)
-
     async def aclose(self) -> None:
-        servers = (self._tcp_server, self._unix_server)
-        self._tcp_server = None
-        self._unix_server = None
+        """Stop listeners and live connections, then the workers."""
         metrics_http, self._metrics_http = self._metrics_http, None
-        for server in servers:
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        await self._close_listeners()
         if metrics_http is not None:
             await metrics_http.aclose()
-        if self.unix_path is not None and os.path.exists(self.unix_path):
-            os.unlink(self.unix_path)
         workers, self._workers = self._workers, []
         for handle in workers:
             await self._stop_worker(handle)
@@ -392,11 +348,9 @@ class ShardRouter:
             self._owns_run_dir = None
 
     async def _stop_worker(self, handle: WorkerHandle) -> None:
-        if handle.writer is not None:
-            handle.writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await handle.writer.wait_closed()
-            handle.writer = None
+        channel, handle.channel = handle.channel, None
+        if channel is not None:
+            channel.close()
         if handle.process.poll() is None:
             handle.process.terminate()
             try:
@@ -487,27 +441,28 @@ class ShardRouter:
 
     async def _wait_ready(self, handle: WorkerHandle) -> None:
         """Connect to the worker, retrying until its socket answers."""
+        loop = asyncio.get_running_loop()
         deadline = time.monotonic() + self.worker_ready_timeout_s
         last_error: Optional[BaseException] = None
         while time.monotonic() < deadline:
             if handle.process.poll() is not None:
                 break
+            channel = None
             try:
-                reader, writer = await asyncio.open_unix_connection(
-                    handle.unix_path
+                _, channel = await loop.create_unix_connection(
+                    LineChannel, handle.unix_path
                 )
-                writer.write(encode_message({"type": "hello"}))
-                await writer.drain()
                 line = await asyncio.wait_for(
-                    reader.readline(), timeout=5.0
+                    channel.request(encode_message({"type": "hello"})),
+                    timeout=5.0,
                 )
-                if line and decode_message(line).get("ok"):
-                    handle.reader = reader
-                    handle.writer = writer
+                if decode_message(line).get("ok"):
+                    handle.channel = channel
                     return
-                writer.close()
             except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
                 last_error = exc
+            if channel is not None:
+                channel.close()
             await asyncio.sleep(0.05)
         handle.process.kill()
         raise RuntimeError(
@@ -552,16 +507,15 @@ class ShardRouter:
     async def _call_worker(
         self, handle: WorkerHandle, payload: Dict[str, Any]
     ) -> Dict[str, Any]:
-        """One request/response round trip on the worker connection."""
-        data = encode_message(payload)
-        async with handle.lock:
-            if handle.writer is None:
-                raise ConnectionError("worker connection is down")
-            handle.writer.write(data)
-            await handle.writer.drain()
-            line = await handle.reader.readline()
-        if not line:
-            raise ConnectionError("worker closed the connection")
+        """One round trip, pipelined on the worker's FIFO channel.
+
+        Replies complete in send order.  Nothing may await between the
+        reply and the return: tracing pairs each call with the worker
+        request it made by that order.
+        """
+        if handle.channel is None:
+            raise ConnectionError("worker connection is down")
+        line = await handle.channel.request(encode_message(payload))
         self.m_requests.labels(
             handle.name, str(payload.get("type", "?"))
         ).inc()
@@ -677,118 +631,6 @@ class ShardRouter:
         return handle
 
     # -- client-facing server --------------------------------------------------
-    async def _serve_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """One client connection: ordered execution, eager close detection.
-
-        Requests execute strictly one at a time in arrival order (the
-        protocol's response-ordering guarantee), but the reader keeps
-        running while a request is in flight at a worker.  That
-        read-ahead is what lets a client that disconnects mid-pipeline
-        *expire* its in-flight work: the dispatch task is cancelled the
-        moment the close is seen, which unwinds ``handle_line`` and
-        releases the rid reservation, instead of parking it until a
-        possibly-wedged worker answers.  Unexecuted read-ahead lines
-        from a vanished client are likewise dropped unexecuted.
-        """
-        self.connections += 1
-        loop = asyncio.get_running_loop()
-        backlog: Deque[bytes] = deque()
-        read_task: Optional["asyncio.Task[bytes]"] = None
-        handler: Optional["asyncio.Task[Dict[str, Any]]"] = None
-        gone = False
-        try:
-            while True:
-                if handler is None:
-                    if backlog:
-                        line = backlog.popleft()
-                    elif gone:
-                        return
-                    else:
-                        if read_task is None:
-                            read_task = loop.create_task(
-                                reader.readline()
-                            )
-                        try:
-                            line = await read_task
-                        except (
-                            ConnectionError,
-                            asyncio.LimitOverrunError,
-                        ):
-                            # A dropped or misbehaving client ends its
-                            # own connection only; the router serves on.
-                            self.connection_errors += 1
-                            return
-                        finally:
-                            read_task = None
-                        if not line:
-                            return
-                    if not line.strip():
-                        continue
-                    handler = loop.create_task(self.handle_line(line))
-                waiting = {handler}
-                if not gone and len(backlog) < _READAHEAD_LINES:
-                    if read_task is None:
-                        read_task = loop.create_task(reader.readline())
-                    waiting.add(read_task)
-                await asyncio.wait(
-                    waiting, return_when=asyncio.FIRST_COMPLETED
-                )
-                if read_task is not None and read_task.done():
-                    try:
-                        ahead = read_task.result()
-                    except (
-                        ConnectionError,
-                        asyncio.LimitOverrunError,
-                    ):
-                        self.connection_errors += 1
-                        gone = True
-                    else:
-                        if ahead:
-                            backlog.append(ahead)
-                        else:
-                            gone = True
-                    read_task = None
-                if gone and not handler.done():
-                    # Client gone mid-pipeline: nobody can receive the
-                    # answer.  Cancel the dispatch; handle_line's
-                    # unwind releases the rid reservation right now.
-                    handler.cancel()
-                if not handler.done():
-                    continue
-                finished, handler = handler, None
-                try:
-                    response = finished.result()
-                except asyncio.CancelledError:
-                    if gone:
-                        backlog.clear()
-                        return
-                    raise
-                if gone:
-                    # Completed before the cancel landed; the response
-                    # (and any cached rid entry) stands, but there is
-                    # no one left to write it to.
-                    backlog.clear()
-                    return
-                writer.write(encode_message(response))
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    self.connection_errors += 1
-                    return
-        finally:
-            for task in (read_task, handler):
-                if task is not None:
-                    task.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await task
-            writer.close()
-            with contextlib.suppress(ConnectionError):
-                await writer.wait_closed()
-
     async def handle_line(self, line: bytes) -> Dict[str, Any]:
         """Decode, route, and answer one request line.
 
@@ -804,8 +646,8 @@ class ShardRouter:
         verb like ``step``.
 
         A reservation lives at most as long as the connection that
-        made it: :meth:`_serve_connection` cancels the dispatch the
-        moment its client vanishes, which unwinds this coroutine and
+        made it: the transport cancels the dispatch the moment its
+        client vanishes, which unwinds this coroutine and
         expires the reservation — waiters parked on an expired
         reservation re-check the maps and the first re-executes
         fresh (the abandoned original may or may not have reached
@@ -859,7 +701,6 @@ class ShardRouter:
         self, message: Dict[str, Any], rid: Optional[str]
     ) -> Dict[str, Any]:
         """Dispatch one decoded request; cache ok responses by rid."""
-        cache = True
         try:
             request_type, _ = parse_request(message)
             if request_type in ADMIN_TYPES:
@@ -874,20 +715,9 @@ class ShardRouter:
             }
             handler = getattr(self, f"_handle_{request_type}")
             response = await handler(forwarded)
-        except ProtocolError as exc:
-            cache = False
-            response = error_response(exc.code, exc.message)
-        except SessionError as exc:
-            cache = False
-            response = error_response(exc.code, exc.message, exc.data)
         except Exception as exc:  # the router must answer every line
-            cache = False
-            response = error_response(
-                "internal", f"{type(exc).__name__}: {exc}"
-            )
-        if not response.get("ok", False):
-            cache = False
-        if cache and rid is not None:
+            response = _error_envelope(exc)
+        if response.get("ok", False) and rid is not None:
             response = dict(response)
             response["rid"] = rid
             self._rid_cache[rid] = response
@@ -1092,11 +922,7 @@ class ShardRouter:
         handle = self._worker_for_session(message.get("session"))
         return await self._forward(handle, message)
 
-    async def _handle_snapshot(
-        self, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        handle = self._worker_for_session(message.get("session"))
-        return await self._forward(handle, message)
+    _handle_snapshot = _handle_report
 
     async def _handle_close(
         self, message: Dict[str, Any]
@@ -1238,7 +1064,7 @@ def serve_sharded(
         asyncio.run(_serve_router(router, ready))
 
 
-class ShardThread:
+class ShardThread(LoopThread):
     """A sharded daemon in a background thread (tests, benchmarks).
 
     Mirrors :class:`~repro.service.server.ServerThread`: enter to get
@@ -1248,69 +1074,4 @@ class ShardThread:
 
     def __init__(self, router: ShardRouter) -> None:
         self.router = router
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def unix_path(self) -> Optional[str]:
-        return self.router.unix_path
-
-    @property
-    def tcp_address(self) -> Optional[Tuple[str, int]]:
-        return self.router.tcp_address
-
-    @property
-    def metrics_address(self) -> Optional[Tuple[str, int]]:
-        return self.router.metrics_address
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self.router.start())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()
-            loop.run_until_complete(self.router.aclose())
-        finally:
-            loop.close()
-
-    def start(self) -> "ShardThread":
-        self._thread = threading.Thread(
-            target=self._run, name="jouleguard-shard", daemon=True
-        )
-        self._thread.start()
-        self._started.wait(timeout=120.0)
-        if self._startup_error is not None:
-            raise RuntimeError(
-                "shard router failed to start"
-            ) from self._startup_error
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._thread is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=30.0)
-            self._loop = None
-            self._thread = None
-
-    def run_coroutine(self, coroutine: Any) -> Any:
-        """Run ``coroutine`` on the router's loop (white-box tests)."""
-        future = asyncio.run_coroutine_threadsafe(
-            coroutine, self._loop
-        )
-        return future.result(timeout=60.0)
-
-    def __enter__(self) -> "ShardThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+        super().__init__(router, "jouleguard-shard", 120.0)

@@ -348,10 +348,9 @@ class TestRidExpiryOnConnectionClose:
     Reserved in-flight rids used to live until the worker round-trip
     returned — forever, for a wedged worker — because the connection
     loop could not see the close while awaiting the dispatch.  The
-    read-ahead loop notices the close immediately, cancels the
-    dispatch, and the unwind expires the reservation; read-ahead lines
-    a vanished client pipelined behind the hung request are dropped
-    unexecuted.
+    line transport sees the close immediately, cancels the dispatch,
+    and the unwind expires the reservation; lines a vanished client
+    pipelined behind the hung request are dropped unexecuted.
     """
 
     def _router(self):
@@ -380,8 +379,8 @@ class TestRidExpiryOnConnectionClose:
             started = asyncio.Event()
             router._handle_step = hung_step
             path = str(tmp_path / "router.sock")
-            server = await asyncio.start_unix_server(
-                router._serve_connection, path=path
+            server = await asyncio.get_running_loop().create_unix_server(
+                router._new_connection, path=path
             )
             try:
                 _, writer = await asyncio.open_unix_connection(path)
@@ -428,8 +427,8 @@ class TestRidExpiryOnConnectionClose:
             started = asyncio.Event()
             router._handle_step = hung_step
             path = str(tmp_path / "router.sock")
-            server = await asyncio.start_unix_server(
-                router._serve_connection, path=path
+            server = await asyncio.get_running_loop().create_unix_server(
+                router._new_connection, path=path
             )
             try:
                 _, writer = await asyncio.open_unix_connection(path)
@@ -486,8 +485,8 @@ class TestRidExpiryOnConnectionClose:
         async def scenario():
             router._handle_step = echo_step
             path = str(tmp_path / "router.sock")
-            server = await asyncio.start_unix_server(
-                router._serve_connection, path=path
+            server = await asyncio.get_running_loop().create_unix_server(
+                router._new_connection, path=path
             )
             try:
                 reader, writer = await asyncio.open_unix_connection(
