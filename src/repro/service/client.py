@@ -207,9 +207,14 @@ class ServiceClient:
     # -- transport -------------------------------------------------------------
     def _connect(self) -> None:
         if self.unix_path is not None:
-            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(self.timeout_s)
-            self._sock.connect(self.unix_path)
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                sock.settimeout(self.timeout_s)
+                sock.connect(self.unix_path)
+            except OSError:
+                sock.close()  # create_connection does this for TCP
+                raise
+            self._sock = sock
         else:
             assert self.port is not None
             self._sock = socket.create_connection(

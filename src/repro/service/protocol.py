@@ -53,6 +53,13 @@ Version 3 (sharding + throughput) adds
   :data:`SUPPORTED_VERSIONS` and echoes the *negotiated* version, so
   v2 clients keep working against a v3 daemon (they simply never send
   ``batch_step``).
+
+Encoding is canonical, and that is a contract: :func:`encode_message`
+writes compact JSON with sorted keys, so one message has exactly one
+encoding.  The shard router relies on it to pass worker replies back
+without decoding them — it recognises an ok reply by its first key —
+so a change to the key order or layout here changes what the router
+relays.
 """
 
 from __future__ import annotations

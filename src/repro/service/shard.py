@@ -13,6 +13,11 @@ identically; every later verb routes by the session id's
 ``w{index}e{epoch}-`` prefix, making the router stateless about
 individual sessions beyond their global open order.
 
+**Relaying**: ``step``, ``report``, ``snapshot`` and ``close`` pass
+through as bytes — the request line goes to the worker as the client
+wrote it, ``rid`` and all, and an ok reply comes back undecoded
+(:meth:`ShardRouter._relay`).
+
 **Budget coherence** uses the zero-sum lease scheme of
 :class:`~repro.service.lease.LeaseLedger`: workers boot with a
 microjoule floor lease and the router tops them up *on demand* — a
@@ -68,7 +73,7 @@ import tempfile
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..obs.events import EventLog
 from ..obs.http import MetricsHTTPServer
@@ -107,6 +112,18 @@ LEASE_FLOOR_J = 1e-6
 SESSION_PREFIX_RE = re.compile(r"^w(\d+)e(\d+)-")
 
 _RING_VNODES = 64
+
+#: A router answer: a response dict, or a worker's reply line relayed
+#: as it came (always an ``ok`` reply; see :meth:`ShardRouter._relay`).
+Response = Union[Dict[str, Any], bytes]
+
+#: Verbs the router relays: forwarded to the session's worker, the
+#: reply passed back as bytes when it is an ok, not-killed answer.
+_RELAYED = ("step", "report", "snapshot", "close")
+
+#: How an ok step reply and an ok close/report/snapshot reply begin:
+#: workers encode with sorted keys, so each shape has one first key.
+_OK_PREFIXES = (b'{"decision":', b'{"ok":true')
 
 
 def _hash64(key: str) -> int:
@@ -245,8 +262,8 @@ class ShardRouter(LineServer):
         self._steps_since_rebalance = 0
         self._rebalance_lock = asyncio.Lock()
         self._restart_lock = asyncio.Lock()
-        self._rid_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._rid_inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
+        self._rid_cache: "OrderedDict[str, Response]" = OrderedDict()
+        self._rid_inflight: Dict[str, "asyncio.Future[Response]"] = {}
         self.replayed_responses = 0
         self._metrics_http: Optional[MetricsHTTPServer] = None
         self._owns_run_dir: Optional[tempfile.TemporaryDirectory] = None
@@ -505,28 +522,36 @@ class ShardRouter(LineServer):
 
     # -- worker I/O ------------------------------------------------------------
     async def _call_worker(
-        self, handle: WorkerHandle, payload: Dict[str, Any]
-    ) -> Dict[str, Any]:
+        self,
+        handle: WorkerHandle,
+        payload: Dict[str, Any],
+        line: Optional[bytes] = None,
+    ) -> bytes:
         """One round trip, pipelined on the worker's FIFO channel.
 
-        Replies complete in send order.  Nothing may await between the
-        reply and the return: tracing pairs each call with the worker
-        request it made by that order.
+        Sends ``line`` when given (``payload`` already encoded, such as
+        a client's own request bytes), else ``payload`` encoded; returns
+        the reply line.  Replies complete in send order.  Nothing may
+        await between the reply and the return: tracing pairs each call
+        with the worker request it made by that order.
         """
         if handle.channel is None:
             raise ConnectionError("worker connection is down")
-        line = await handle.channel.request(encode_message(payload))
+        reply = await handle.channel.request(line or encode_message(payload))
         self.m_requests.labels(
             handle.name, str(payload.get("type", "?"))
         ).inc()
-        return decode_message(line)
+        return reply
 
-    async def _forward(
-        self, handle: WorkerHandle, payload: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Forward; on a dead worker, restart it and answer unavailable."""
+    async def _send(
+        self,
+        handle: WorkerHandle,
+        payload: Dict[str, Any],
+        line: Optional[bytes] = None,
+    ) -> Response:
+        """The reply line; a dead worker is restarted, answered unavailable."""
         try:
-            return await self._call_worker(handle, payload)
+            return await self._call_worker(handle, payload, line)
         except (ConnectionError, OSError):
             await self._restart_worker(handle)
             return error_response(
@@ -534,6 +559,13 @@ class ShardRouter(LineServer):
                 f"worker {handle.name} crashed; its sessions are "
                 "lost (reopen to recover from the snapshot store)",
             )
+
+    async def _forward(
+        self, handle: WorkerHandle, payload: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """:meth:`_send`, the reply decoded."""
+        reply = await self._send(handle, payload)
+        return reply if isinstance(reply, dict) else decode_message(reply)
 
     # -- lease plumbing --------------------------------------------------------
     def _publish_ledger(self, handle: WorkerHandle) -> None:
@@ -631,14 +663,17 @@ class ShardRouter(LineServer):
         return handle
 
     # -- client-facing server --------------------------------------------------
-    async def handle_line(self, line: bytes) -> Dict[str, Any]:
+    async def handle_line(self, line: bytes) -> Response:
         """Decode, route, and answer one request line.
 
         Identical rid idempotency contract to the single daemon — but
-        owned here: forwarded requests are stripped of their rid, so a
-        retry never reaches a worker twice even across a router
-        reconnect.  Unlike the single daemon's synchronous dispatch,
-        routing suspends at the worker round-trip, so a rid is
+        owned here: a retry the router has answered never reaches a
+        worker again, even across a router reconnect.  Relayed verbs
+        reach their worker with the rid in the line, so the worker (an
+        ordinary daemon) writes it into its reply and caches that reply
+        too; the other verbs are forwarded stripped of it.  Unlike the
+        single daemon's synchronous dispatch, routing suspends at the
+        worker round-trip, so a rid is
         *reserved* before the first await: a concurrent retry of the
         same rid (a client that timed out and reconnected while the
         original request is still in flight) awaits the original
@@ -650,8 +685,10 @@ class ShardRouter(LineServer):
         client vanishes, which unwinds this coroutine and
         expires the reservation — waiters parked on an expired
         reservation re-check the maps and the first re-executes
-        fresh (the abandoned original may or may not have reached
-        its worker); the rest park on that fresh execution.
+        fresh; the rest park on that fresh execution.  A relayed
+        original that had reached its worker is answered there from
+        the worker's own rid cache, so the session is not stepped
+        twice.
         """
         try:
             message = decode_message(line)
@@ -659,7 +696,7 @@ class ShardRouter(LineServer):
         except ProtocolError as exc:
             return error_response(exc.code, exc.message)
         if rid is None:
-            return await self._execute_line(message, rid)
+            return await self._execute_line(message, rid, line)
         while True:
             if rid in self._rid_cache:
                 self.replayed_responses += 1
@@ -680,12 +717,12 @@ class ShardRouter(LineServer):
                 # parked retry may have re-reserved the rid first,
                 # and a second execution would double-step the
                 # session on its worker.
-        future: "asyncio.Future[Dict[str, Any]]" = (
+        future: "asyncio.Future[Response]" = (
             asyncio.get_running_loop().create_future()
         )
         self._rid_inflight[rid] = future
         try:
-            response = await self._execute_line(message, rid)
+            response = await self._execute_line(message, rid, line)
             if not future.done():
                 future.set_result(response)
             return response
@@ -698,9 +735,14 @@ class ShardRouter(LineServer):
                 future.cancel()
 
     async def _execute_line(
-        self, message: Dict[str, Any], rid: Optional[str]
-    ) -> Dict[str, Any]:
-        """Dispatch one decoded request; cache ok responses by rid."""
+        self, message: Dict[str, Any], rid: Optional[str], line: bytes
+    ) -> Response:
+        """Dispatch one decoded request; cache ok responses by rid.
+
+        A relayed verb is forwarded as the client's own ``line``; the
+        worker answers an ok, rid'd request with the rid already in
+        its reply.  Other verbs get the message without its rid.
+        """
         try:
             request_type, _ = parse_request(message)
             if request_type in ADMIN_TYPES:
@@ -708,21 +750,24 @@ class ShardRouter(LineServer):
                     "bad_request",
                     "admin verbs are disabled on this listener",
                 )
-            forwarded = {
-                key: value
-                for key, value in message.items()
-                if key != "rid"
-            }
             handler = getattr(self, f"_handle_{request_type}")
-            response = await handler(forwarded)
+            if request_type in _RELAYED:
+                response = await handler(message, line)
+            else:
+                response = await handler(
+                    {k: v for k, v in message.items() if k != "rid"}
+                )
         except Exception as exc:  # the router must answer every line
             response = _error_envelope(exc)
-        if response.get("ok", False) and rid is not None:
-            response = dict(response)
-            response["rid"] = rid
-            self._rid_cache[rid] = response
-            while len(self._rid_cache) > RID_CACHE_MAX:
-                self._rid_cache.popitem(last=False)
+        if rid is None:
+            return response
+        if isinstance(response, dict):  # bytes: an ok relayed reply
+            if not response.get("ok", False):
+                return response  # errors are never cached
+            response = dict(response, rid=rid)
+        self._rid_cache[rid] = response
+        while len(self._rid_cache) > RID_CACHE_MAX:
+            self._rid_cache.popitem(last=False)
         return response
 
     # -- verb handlers ---------------------------------------------------------
@@ -826,20 +871,6 @@ class ShardRouter(LineServer):
                 await self._rebalance()
                 self._steps_since_rebalance = 0
 
-    async def _handle_step(
-        self, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        handle = self._worker_for_session(message.get("session"))
-        response = await self._forward(handle, message)
-        if response.get("ok"):
-            if response.get("killed"):
-                await self._session_ended(
-                    handle, str(message.get("session"))
-                )
-            else:
-                await self._count_steps(1)
-        return response
-
     async def _handle_batch_step(
         self, message: Dict[str, Any]
     ) -> Dict[str, Any]:
@@ -916,24 +947,36 @@ class ShardRouter(LineServer):
         async with handle.admission_lock:
             await self._reclaim_surplus(handle)
 
-    async def _handle_report(
-        self, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        handle = self._worker_for_session(message.get("session"))
-        return await self._forward(handle, message)
+    async def _relay(self, message: Dict[str, Any], line: bytes) -> Response:
+        """Forward a relayed verb; pass an ok reply back as its bytes.
 
-    _handle_snapshot = _handle_report
-
-    async def _handle_close(
-        self, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
+        ``line`` is the request as the client sent it, and goes to the
+        worker as it is.  An ok, not-killed reply is recognised by its
+        first key and returned undecoded; any other reply (a kill, an
+        error, a crashed worker) is decoded and returned as a dict.  A
+        step advances the rebalance cadence; a close or a kill ends the
+        session.
+        """
         handle = self._worker_for_session(message.get("session"))
-        response = await self._forward(handle, message)
-        if response.get("ok"):
-            await self._session_ended(
-                handle, str(message.get("session"))
-            )
+        if not line.endswith(b"\n"):
+            line += b"\n"
+        reply = await self._send(handle, message, line)
+        if isinstance(reply, bytes) and reply.startswith(_OK_PREFIXES):
+            response: Response = reply + b"\n"
+            ok, killed = True, False
+        else:
+            if isinstance(reply, bytes):
+                reply = decode_message(reply)
+            response = reply
+            ok, killed = bool(reply.get("ok")), bool(reply.get("killed"))
+        if ok:
+            if killed or message["type"] == "close":
+                await self._session_ended(handle, message["session"])
+            elif message["type"] == "step":
+                await self._count_steps(1)
         return response
+
+    _handle_step = _handle_report = _handle_snapshot = _handle_close = _relay
 
     async def _handle_metrics(
         self, message: Dict[str, Any]

@@ -113,13 +113,16 @@ class LineConnection(asyncio.Protocol):
     def _accept(self, item: Any) -> None:
         """Answer inline if nothing is ahead; otherwise queue ``item``.
 
-        ``item`` is a request line, a ready response, ``None`` (close
-        the connection) or an awaitable resolving to one of the last
-        two.
+        ``item`` is a request line (``bytes``), a ready response dict,
+        ``None`` (close the connection) or an awaitable resolving to a
+        response.  A reply line ``_serve`` returns is never queued: a
+        queued ``bytes`` item is always a request.
         """
         if not self._busy and self._writable is None:
             if isinstance(item, bytes):
                 item = self._serve(item)
+                if isinstance(item, bytes):
+                    return self._reply(item)
             if isinstance(item, dict):
                 return self._reply(item)
             if item is None:
@@ -154,7 +157,7 @@ class LineConnection(asyncio.Protocol):
                     await self._writable
                 if isinstance(item, bytes):
                     item = self._serve(item)
-                if item is not None and not isinstance(item, dict):
+                if item is not None and not isinstance(item, (dict, bytes)):
                     item = await item
                 if item is None:
                     return
@@ -164,7 +167,9 @@ class LineConnection(asyncio.Protocol):
 
     def _reply(self, response: Any) -> None:
         if not self._transport.is_closing():
-            self._transport.write(protocol.encode_message(response))
+            if not isinstance(response, bytes):  # bytes: an encoded line
+                response = protocol.encode_message(response)
+            self._transport.write(response)
 
     def _finish(self) -> None:
         self._input_done = True
@@ -183,7 +188,8 @@ class LineServer:
     """Listeners and live connections shared by the daemon and router.
 
     :meth:`_serve_line` (by default ``handle_line``) answers a line with
-    a response dict or an awaitable of one, or of ``None`` (hang up).
+    a response — a dict, or an encoded reply line (``bytes``, written
+    as it is) — or ``None`` (hang up), or with an awaitable of one.
     """
 
     handle_line: Callable[[bytes], Any]

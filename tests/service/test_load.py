@@ -21,6 +21,15 @@ from repro.service import (
     run_load,
 )
 
+# A leaked socket only warns when it is collected (a ResourceWarning,
+# reported unraisable from ``__del__``); fail the test that leaked it.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    ),
+]
+
 SETUP_DELAY_S = 0.15
 
 

@@ -224,7 +224,7 @@ class TestRidInflightCoalescing:
         calls = []
         release = None
 
-        async def slow_step(message):
+        async def slow_step(message, line):
             calls.append(message)
             await release.wait()
             return {"ok": True, "type": "step", "decision": 7}
@@ -256,7 +256,7 @@ class TestRidInflightCoalescing:
         router = self._router()
         calls = []
 
-        async def step(message):
+        async def step(message, line):
             calls.append(message)
             return {"ok": True, "type": "step", "decision": 3}
 
@@ -282,7 +282,7 @@ class TestRidInflightCoalescing:
         router = self._router()
         attempts = []
 
-        async def flaky_step(message):
+        async def flaky_step(message, line):
             attempts.append(message)
             if len(attempts) == 1:
                 raise ConnectionError("worker went away")
@@ -314,7 +314,7 @@ class TestRidInflightCoalescing:
         router = self._router()
         calls = []
 
-        async def hung_step(message):
+        async def hung_step(message, line):
             calls.append(message)
             await asyncio.Event().wait()  # never returns
 
@@ -366,7 +366,7 @@ class TestRidExpiryOnConnectionClose:
         started = None
         unwound = []
 
-        async def hung_step(message):
+        async def hung_step(message, line):
             started.set()
             try:
                 await asyncio.Event().wait()
@@ -417,7 +417,7 @@ class TestRidExpiryOnConnectionClose:
         started = None
         calls = []
 
-        async def hung_step(message):
+        async def hung_step(message, line):
             calls.append(message)
             started.set()
             await asyncio.Event().wait()
@@ -471,7 +471,7 @@ class TestRidExpiryOnConnectionClose:
 
         router = self._router()
 
-        async def echo_step(message):
+        async def echo_step(message, line):
             # Finish out of submission order on purpose.
             await asyncio.sleep(
                 0.02 if message["session"] == "s0" else 0.0

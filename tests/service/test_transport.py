@@ -27,7 +27,7 @@ from repro.service import (
     ShardThread,
 )
 from repro.service.protocol import MAX_LINE_BYTES
-from repro.service.transport import LineChannel
+from repro.service.transport import LineChannel, LineServer
 
 #: A heartbeat far inside any session's budget (never throttled).
 STEP = {"work": 1.0, "energy_j": 0.05, "rate": 30.0, "power_w": 18.0}
@@ -181,6 +181,56 @@ class TestLineChannel:
                 channel.request(b"2\n")
 
         asyncio.run(self._with_peer(tmp_path, peer, body))
+
+
+class _Echo(LineServer):
+    """Answers ``s...`` lines with a ready reply line, ``a...`` later."""
+
+    def __init__(self, path):
+        super().__init__(None, 0, path, None, 0)
+        self.served = []
+
+    def handle_line(self, line):
+        self.served.append(line)
+        reply = b"re:" + line + b"\n"
+        if line.startswith(b"s"):
+            return reply
+
+        async def later():
+            await asyncio.sleep(0.01)
+            return reply
+
+        return later()
+
+
+class TestReadyReplyLines:
+    def test_a_bytes_reply_is_written_once_never_served(self, tmp_path):
+        server = _Echo(str(tmp_path / "echo.sock"))
+
+        async def scenario():
+            await server._listen(0)
+            try:
+                reader, writer = await asyncio.open_unix_connection(
+                    server.unix_path
+                )
+                writer.write(b"s1\n")
+                await writer.drain()
+                first = await asyncio.wait_for(reader.readline(), 5.0)
+                # Queued behind the suspended one, then answered ready.
+                writer.write(b"a2\ns3\n")
+                await writer.drain()
+                rest = [
+                    await asyncio.wait_for(reader.readline(), 5.0)
+                    for _ in range(2)
+                ]
+                writer.close()
+                return [first] + rest
+            finally:
+                await server._close_listeners()
+
+        replies = asyncio.run(scenario())
+        assert replies == [b"re:s1\n", b"re:a2\n", b"re:s3\n"]
+        assert server.served == [b"s1", b"a2", b"s3"]
 
 
 class TestMaxLineBytes:
