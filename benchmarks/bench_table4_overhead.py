@@ -10,6 +10,10 @@ pytest-benchmark to genuinely *time* one Algorithm 1 iteration per
 platform.  Absolute numbers reflect Python, not the paper's C runtime;
 the shape claim that survives is that overhead stays far below any
 realistic heartbeat period.
+
+Under ``--benchmark-disable`` pytest-benchmark calls the step once and
+keeps no statistics; the bench then only checks that the step runs,
+and neither bounds nor reports a latency.
 """
 
 import pytest
@@ -42,6 +46,8 @@ def _make_runtime(machine):
 def test_runtime_iteration_latency(benchmark, machines, machine_name):
     runtime, measurement = _make_runtime(machines[machine_name])
     benchmark(runtime.step, measurement)
+    if benchmark.stats is None:
+        return  # --benchmark-disable: the step ran once, untimed
     mean_us = benchmark.stats["mean"] * 1e6
     _collected[machine_name] = mean_us
     # Far below any heartbeat period: x264 frames arrive every ~30 ms.

@@ -16,8 +16,8 @@ import pathlib
 from typing import List
 
 # Benchmarks measure the product path, and production deployments run
-# with dynamic contracts off (they cost ~40 % of an in-process step —
-# see src/repro/core/contracts.py).  Default them OFF for everything
+# with dynamic contracts off (they cost about 15-20 % of an in-process
+# step — see src/repro/core/contracts.py).  Default them OFF for everything
 # under benchmarks/ — before any repro import reads the flag, and via
 # the environment so daemon/worker subprocesses spawned by the benches
 # inherit the same setting.  An operator can still force them on with

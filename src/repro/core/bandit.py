@@ -16,17 +16,87 @@ scale factors from measurements (EWMA of measured/shape over visited
 configurations) so unvisited configurations are estimated as
 ``shape × scale × optimism`` — keeping them optimistic, as the paper's
 initialization intends, while giving them correct units.
+
+Because every unvisited arm shares the same scales, their efficiency
+ranking is the prior ratio ``rate_shape / power_shape`` up to rounding.
+The Eqn. 3 argmax exploits that: visited arms keep their efficiency
+from the last update, unvisited arms are ranked once per prior, and
+only the few unvisited arms whose ratio ties the best one's are scored
+exactly.  The result equals an argmax over every arm's estimate,
+lowest index on ties, without touching every arm per decision.  When a
+scale leaves the range where that rounding argument holds (learned from
+an overflowing or vanishing measurement), the argmax scores every arm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .ewma import DEFAULT_ALPHA
 from .vdbe import Vdbe
+
+
+#: Unvisited arms whose prior ratio lies within this relative distance
+#: of the best unvisited ratio are scored exactly.  Each estimate is a
+#: few correctly rounded operations away from ``ratio × common scale``
+#: (≤ 6 ulp, about 7e-16 relative), so an arm outside the window can
+#: never reach the best one's score: the window is a million times
+#: wider than the rounding it covers.  The bound needs every unvisited
+#: estimate, and each product inside it, to be a normal float; see
+#: :data:`_SCALED_RANGE`.
+_TIE_WINDOW = 1e-9
+
+#: The window is used only while every scaled shape, ``shape × scale``,
+#: lies within ``[1/_SCALED_RANGE, _SCALED_RANGE]`` (optimism included).
+#: Each estimate then lies within 2**±800, far inside the normal float
+#: range; beyond it (a scale learned from an overflowing or vanishing
+#: measurement) estimates can tie at ``inf`` or lose precision to
+#: underflow, and the argmax scores every arm instead.
+_SCALED_RANGE = 2.0**400
+
+
+@dataclass(frozen=True)
+class _PriorOrder:
+    """Arms ranked by prior efficiency, shared by every optimizer of a prior.
+
+    ``order`` lists arm indices by descending ``rate_shape /
+    power_shape`` (stable, so equal ratios keep ascending index);
+    ``window_end[k]`` is the first position after ``k`` whose ratio falls
+    more than :data:`_TIE_WINDOW` below the ratio at position ``k``.
+    All four are read-only views over compact buffers (the shapes over
+    the cache key's bytes); indexing ``order`` and ``window_end`` gives
+    Python ints.
+    """
+
+    rate_shape: np.ndarray
+    power_shape: np.ndarray
+    order: memoryview
+    window_end: memoryview
+
+
+# Keyed by shape content: a daemon opens sessions over a few fixed
+# machine priors, so the bound only matters to callers that make many
+# one-off priors.
+@functools.lru_cache(maxsize=32)
+def _prior_order(rate_bytes: bytes, power_bytes: bytes) -> _PriorOrder:
+    rates = np.frombuffer(rate_bytes)
+    powers = np.frombuffer(power_bytes)
+    ratio = rates / powers
+    order = np.argsort(-ratio, kind="stable")
+    descending = ratio[order]
+    window_end = np.searchsorted(
+        -descending, -descending * (1.0 - _TIE_WINDOW), side="right"
+    )
+    return _PriorOrder(
+        rate_shape=rates,
+        power_shape=powers,
+        order=memoryview(order).toreadonly(),
+        window_end=memoryview(window_end).toreadonly(),
+    )
 
 
 @dataclass(frozen=True)
@@ -83,13 +153,24 @@ class SystemEnergyOptimizer:
         self.n_configs = len(rates)
         self.alpha = alpha
         self.optimism = optimism
-        self._rate_shape = rates
-        self._power_shape = powers
-        self._rate_est = np.zeros(self.n_configs)
-        self._power_est = np.zeros(self.n_configs)
-        self._visited = np.zeros(self.n_configs, dtype=bool)
-        self._rate_scale: Optional[float] = None
-        self._power_scale: Optional[float] = None
+        self._prior = _prior_order(rates.tobytes(), powers.tobytes())
+        self._rate_shape = self._prior.rate_shape
+        self._power_shape = self._prior.power_shape
+        # Scales for which the prior-ratio window holds (see
+        # _SCALED_RANGE): rate scale, then power scale, low and high.
+        self._window_scales = (
+            1.0 / (_SCALED_RANGE * float(rates.min())),
+            _SCALED_RANGE / (float(rates.max()) * optimism),
+            optimism / (_SCALED_RANGE * float(powers.min())),
+            _SCALED_RANGE / float(powers.max()),
+        )
+        self.load_tables(
+            np.zeros(self.n_configs),
+            np.zeros(self.n_configs),
+            np.zeros(self.n_configs, dtype=bool),
+            None,
+            None,
+        )
         self.vdbe = vdbe if vdbe is not None else Vdbe(self.n_configs)
         self._rng = np.random.default_rng(seed)
         self.updates = 0
@@ -117,23 +198,54 @@ class SystemEnergyOptimizer:
     def efficiency_estimate(self, index: int) -> float:
         return self.rate_estimate(index) / self.power_estimate(index)
 
-    def _all_rate_estimates(self) -> np.ndarray:
-        scale = self._rate_scale if self._rate_scale is not None else 1.0
-        estimates = self._rate_shape * scale * self.optimism
-        estimates[self._visited] = self._rate_est[self._visited]
-        return estimates
-
-    def _all_power_estimates(self) -> np.ndarray:
-        scale = self._power_scale if self._power_scale is not None else 1.0
-        estimates = self._power_shape * scale / self.optimism
-        estimates[self._visited] = self._power_est[self._visited]
-        return estimates
-
     @property
     def best_index(self) -> int:
-        """Eqn. 3: configuration with the highest estimated efficiency."""
-        efficiency = self._all_rate_estimates() / self._all_power_estimates()
-        return int(efficiency.argmax())
+        """Eqn. 3: configuration with the highest estimated efficiency.
+
+        Equal to ``argmax(rate estimates / power estimates)`` over every
+        arm, lowest index on ties: the best visited arm comes from the
+        stored efficiencies, the best unvisited one from the prior
+        order, scoring only the arms that tie its ratio.
+        """
+        best = int(self._eff.argmax())
+        best_eff = self._eff[best]
+        order = self._prior.order
+        visited = self._visited
+        k = self._frontier
+        while k < self.n_configs and visited[order[k]]:
+            k += 1
+        self._frontier = k
+        if k == self.n_configs:
+            return best
+        rate_scale = self._rate_scale if self._rate_scale is not None else 1.0
+        power_scale = (
+            self._power_scale if self._power_scale is not None else 1.0
+        )
+        # Written so that a NaN scale fails too.
+        rate_low, rate_high, power_low, power_high = self._window_scales
+        if not (
+            rate_low <= rate_scale <= rate_high
+            and power_low <= power_scale <= power_high
+        ):
+            return self._argmax_every_arm(rate_scale, power_scale)
+        optimism = self.optimism
+        for i in order[k : self._prior.window_end[k]]:
+            if visited[i]:
+                continue
+            eff = ((self._rate_shape[i] * rate_scale) * optimism) / (
+                (self._power_shape[i] * power_scale) / optimism
+            )
+            if eff > best_eff or (eff == best_eff and i < best):
+                best, best_eff = i, eff
+        return best
+
+    def _argmax_every_arm(self, rate_scale: float, power_scale: float) -> int:
+        """Eqn. 3 over every arm's estimate, lowest index on ties."""
+        rates = self._rate_shape * rate_scale * self.optimism
+        rates[self._visited] = self._rate_est[self._visited]
+        powers = self._power_shape * power_scale / self.optimism
+        powers[self._visited] = self._power_est[self._visited]
+        return int((rates / powers).argmax())
 
     @property
     def epsilon(self) -> float:
@@ -187,10 +299,48 @@ class SystemEnergyOptimizer:
         self._power_est[index] += self.alpha * (
             power - self._power_est[index]
         )
+        self._eff[index] = self._rate_est[index] / self._power_est[index]
         self.vdbe.update(rate / power, estimated_eff)
         self.updates += 1
 
     # -- persistence ----------------------------------------------------------
+    def load_tables(
+        self,
+        rate_est: Sequence[float],
+        power_est: Sequence[float],
+        visited: Sequence[bool],
+        rate_scale: Optional[float],
+        power_scale: Optional[float],
+    ) -> None:
+        """Replace the per-arm EWMA tables, visit mask, and scales.
+
+        The one way to load learned tables (from a snapshot or a fleet
+        pool row): copies the inputs and rebuilds the stored
+        efficiencies the Eqn. 3 argmax reads.
+        """
+        rates = np.array(rate_est, dtype=float)
+        powers = np.array(power_est, dtype=float)
+        mask = np.array(visited, dtype=bool)
+        if not (
+            rates.shape == powers.shape == mask.shape == (self.n_configs,)
+        ):
+            raise ValueError(
+                "snapshot tables do not match the configuration space"
+            )
+        self._rate_est = rates
+        self._power_est = powers
+        self._visited = mask
+        self._rate_scale = None if rate_scale is None else float(rate_scale)
+        self._power_scale = (
+            None if power_scale is None else float(power_scale)
+        )
+        # Visited arms' efficiencies; -inf keeps unvisited ones out of
+        # the stored argmax.
+        self._eff = np.full(self.n_configs, -np.inf)
+        np.divide(rates, powers, out=self._eff, where=mask)
+        # Position in the prior order before which every arm is visited.
+        self._frontier = 0
+
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serializable learned state.
 
@@ -237,26 +387,13 @@ class SystemEnergyOptimizer:
             vdbe=Vdbe.restore(snapshot["vdbe"]),
             seed=0 if seed is None else seed,
         )
-        rate_est = np.asarray(snapshot["rate_est"], dtype=float)
-        power_est = np.asarray(snapshot["power_est"], dtype=float)
-        visited = np.asarray(snapshot["visited"], dtype=bool)
-        if not (
-            rate_est.shape
-            == power_est.shape
-            == visited.shape
-            == (seo.n_configs,)
-        ):
-            raise ValueError(
-                "snapshot tables do not match the configuration space"
-            )
-        seo._rate_est = rate_est
-        seo._power_est = power_est
-        seo._visited = visited
-        for attr in ("rate_scale", "power_scale"):
-            value = snapshot[attr]
-            setattr(
-                seo, f"_{attr}", None if value is None else float(value)
-            )
+        seo.load_tables(
+            snapshot["rate_est"],
+            snapshot["power_est"],
+            snapshot["visited"],
+            snapshot["rate_scale"],
+            snapshot["power_scale"],
+        )
         seo.updates = int(snapshot["updates"])
         seo.last_rate_delta = float(snapshot["last_rate_delta"])
         if seed is None and snapshot.get("rng_state") is not None:

@@ -10,8 +10,8 @@ can recompute the *remaining* joules-per-work-unit target each iteration
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class BudgetAccountant:
     work_done: float = 0.0
     energy_used_j: float = 0.0
     adjustment_j: float = 0.0
-    _energy_trace: List[float] = field(default_factory=list)
 
     @require("work", non_negative, "work and energy must be non-negative")
     @require("energy_j", non_negative, "work and energy must be non-negative")
@@ -90,7 +89,6 @@ class BudgetAccountant:
         """Account one iteration's work and energy."""
         self.work_done += work
         self.energy_used_j += energy_j
-        self._energy_trace.append(energy_j)
 
     def adjust_budget(self, delta_j: float) -> None:
         """Grant (positive) or reclaim (negative) budget.
@@ -144,11 +142,6 @@ class BudgetAccountant:
         if self.work_done <= 0:
             raise ValueError("no work recorded yet")
         return self.energy_used_j / self.work_done
-
-    @property
-    def energy_trace(self) -> List[float]:
-        """Per-iteration energy record (used by the figure benchmarks)."""
-        return list(self._energy_trace)
 
 
 def remaining_arrays(

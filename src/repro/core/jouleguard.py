@@ -25,7 +25,7 @@ pins the system to minimum-energy operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from .bandit import SystemEnergyOptimizer
 from .budget import BudgetAccountant, EnergyGoal
@@ -91,7 +91,6 @@ class JouleGuardRuntime:
         )
         self.feasibility_slack = feasibility_slack
         self.goal_reported_infeasible = False
-        self._decisions: List[Decision] = []
         self._decision = Decision(
             system_index=self.seo.best_index,
             app_config=table.best_accuracy_for_speedup(0.0),
@@ -101,18 +100,12 @@ class JouleGuardRuntime:
             explored=False,
             feasible=True,
         )
-        self._decisions.append(self._decision)
 
     # -- inspection -----------------------------------------------------------
     @property
     def current_decision(self) -> Decision:
         """The decision the application should currently be running."""
         return self._decision
-
-    @property
-    def decisions(self) -> List[Decision]:
-        """All decisions made so far (for traces and tests)."""
-        return list(self._decisions)
 
     # -- Algorithm 1 ------------------------------------------------------------
     def step(self, measurement: Measurement) -> Decision:
@@ -223,7 +216,6 @@ class JouleGuardRuntime:
 
     def _commit(self, decision: Decision) -> None:
         self._decision = decision
-        self._decisions.append(decision)
 
     # -- persistence ----------------------------------------------------------
     def snapshot_learned(self) -> Dict[str, Any]:
@@ -231,7 +223,7 @@ class JouleGuardRuntime:
 
         Covers the SEO's bandit tables, the adaptive pole, and the
         controller's integral state — the pieces that are expensive to
-        re-learn.  Budget accounting and the decision trace are
+        re-learn.  Budget accounting and the pending decision are
         deliberately excluded: they belong to one run, not to the
         (application, platform) pair.  Wrapped with identity and a
         format version by :mod:`repro.service.state`.

@@ -100,6 +100,7 @@ class AdaptivePole:
         check(
             0.0 <= self.smoothing < 1.0, "smoothing must be in [0, 1)"
         )
+        self._pole = pole_for_error(self._delta, self.margin)
 
     def update(self, measured_rate: float, predicted_rate: float) -> float:
         """Fold one prediction error; return the new pole."""
@@ -113,7 +114,15 @@ class AdaptivePole:
         self._delta = (
             self.smoothing * self._delta + (1.0 - self.smoothing) * delta
         )
-        return self.pole
+        # Eqn. 11 runs once per update; the pole property, the
+        # invariant and the caller's decision all read this value.
+        self._pole = pole_for_error(self._delta, self.margin)
+        return self._pole
+
+    def load_delta(self, delta: float) -> None:
+        """Set the smoothed δ directly (a fleet pool row written back)."""
+        self._delta = delta
+        self._pole = pole_for_error(delta, self.margin)
 
     @property
     def delta(self) -> float:
@@ -121,7 +130,7 @@ class AdaptivePole:
 
     @property
     def pole(self) -> float:
-        return pole_for_error(self._delta, self.margin)
+        return self._pole
 
     # -- persistence ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

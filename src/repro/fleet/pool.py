@@ -517,9 +517,8 @@ class SessionPool:
         degraded/throttle flags, kill status).
 
         Works on killed rows too, so a session killed while pooled can
-        be written back before its close/report.  Per-step artifacts the
-        pool does not keep — the accountant's energy trace, the decision
-        history, per-transition ladder records — are the caller's to
+        be written back before its close/report.  Per-transition ladder
+        records, which the pool does not keep, are the caller's to
         maintain while the session is pooled (the service engine writes
         them through per flush); only the *latest* state is restored
         here.
@@ -529,21 +528,20 @@ class SessionPool:
         from ..core.jouleguard import Decision
 
         seo = runtime.seo
-        seo._rate_est = self.rate_est[row].copy()
-        seo._power_est = self.power_est[row].copy()
-        seo._visited = self.visited[row].copy()
-        if bool(self.has_scale[row]):
-            seo._rate_scale = float(self.rate_scale[row])
-            seo._power_scale = float(self.power_scale[row])
-        else:
-            seo._rate_scale = None
-            seo._power_scale = None
+        has_scale = bool(self.has_scale[row])
+        seo.load_tables(
+            self.rate_est[row],
+            self.power_est[row],
+            self.visited[row],
+            float(self.rate_scale[row]) if has_scale else None,
+            float(self.power_scale[row]) if has_scale else None,
+        )
         seo.vdbe.epsilon = float(self.epsilon[row])
         seo.updates = int(self.updates[row])
         seo.last_rate_delta = float(self.last_rate_delta[row])
         if self.mode == "exact":
             seo._rng = self._gens[row]
-        runtime.pole_adapter._delta = float(self.pole_delta[row])
+        runtime.pole_adapter.load_delta(float(self.pole_delta[row]))
         runtime.controller.speedup = float(self.ctrl_speedup[row])
         accountant = runtime.accountant
         accountant.work_done = float(self.work_done[row])
@@ -562,7 +560,6 @@ class SessionPool:
             feasible=bool(self.d_feasible[row]),
         )
         runtime._decision = decision
-        runtime._decisions.append(decision)
         if ladder is not None:
             ladder.tier = Tier(int(self.tier[row]))
             ladder._calm_streak = int(self.calm_streak[row])

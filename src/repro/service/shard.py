@@ -81,6 +81,7 @@ from ..obs.registry import MetricsRegistry
 from .lease import LeaseLedger, joules_to_uj, uj_to_joules
 from .protocol import (
     ADMIN_TYPES,
+    MAX_LINE_BYTES,
     ProtocolError,
     batch_measurements_from_payload,
     decode_message,
@@ -521,6 +522,24 @@ class ShardRouter(LineServer):
             self._workers[crashed.index] = replacement
 
     # -- worker I/O ------------------------------------------------------------
+    @staticmethod
+    def _worker_line(payload: Dict[str, Any]) -> bytes:
+        """``payload`` encoded for a worker, if the worker would read it.
+
+        Re-encoding escapes every non-ASCII character, so a client line
+        under ``MAX_LINE_BYTES`` can come out over it.  A worker would
+        answer such a line ``bad_request`` and hang up, which the
+        router would take for a crash; refuse it here instead.
+        """
+        line = encode_message(payload)
+        if len(line) - 1 > MAX_LINE_BYTES:  # the limit excludes b"\n"
+            raise ProtocolError(
+                "bad_request",
+                f"message exceeds {MAX_LINE_BYTES} bytes once re-encoded "
+                "for its worker",
+            )
+        return line
+
     async def _call_worker(
         self,
         handle: WorkerHandle,
@@ -530,14 +549,17 @@ class ShardRouter(LineServer):
         """One round trip, pipelined on the worker's FIFO channel.
 
         Sends ``line`` when given (``payload`` already encoded, such as
-        a client's own request bytes), else ``payload`` encoded; returns
-        the reply line.  Replies complete in send order.  Nothing may
-        await between the reply and the return: tracing pairs each call
-        with the worker request it made by that order.
+        a client's own request bytes), else ``payload`` encoded (see
+        :meth:`_worker_line`); returns the reply line.  Replies
+        complete in send order.  Nothing may await between the reply
+        and the return: tracing pairs each call with the worker request
+        it made by that order.
         """
         if handle.channel is None:
             raise ConnectionError("worker connection is down")
-        reply = await handle.channel.request(line or encode_message(payload))
+        reply = await handle.channel.request(
+            line or self._worker_line(payload)
+        )
         self.m_requests.labels(
             handle.name, str(payload.get("type", "?"))
         ).inc()
@@ -885,6 +907,16 @@ class ShardRouter(LineServer):
         handle = self._worker_for_session(session_id)
         measurements = message.get("measurements")
         batch_measurements_from_payload(measurements)
+        # Every sub-batch is a slice of this one, so if the whole batch
+        # fits a worker line, so does each part: refuse it before any
+        # part is sent.
+        self._worker_line(
+            {
+                "type": "batch_step",
+                "session": session_id,
+                "measurements": measurements,
+            }
+        )
         results: List[Dict[str, Any]] = []
         throttle_total = 0.0
         killed = False

@@ -600,11 +600,10 @@ class VexecEngine:
         """Mirror one pooled step's side effects onto scalar state.
 
         Everything the scalar step path records per heartbeat that the
-        pool does not keep (the accountant's energy trace, ladder
-        transition records, telemetry, manager counters, the kill
-        close) happens here, in the scalar path's order.  ``cols`` is
-        the flush's column gather (see :meth:`_step_pool`); ``i`` is
-        this row's position in it.
+        pool does not keep (ladder transition records, telemetry,
+        manager counters, the kill close) happens here, in the scalar
+        path's order.  ``cols`` is the flush's column gather (see
+        :meth:`_step_pool`); ``i`` is this row's position in it.
         """
         session_id = pending.session_id
         session = self.manager._sessions[session_id]
@@ -612,9 +611,6 @@ class VexecEngine:
         steps = cols["steps"][i]
         session.steps = steps
         session.last_active_s = self.manager.clock()
-        # The pool carries the work/energy tallies (written back on
-        # evict); the per-iteration trace is scalar-only state.
-        session.runtime.accountant._energy_trace.append(energy_j)
         pre_tier = cols["pre_tier"][i]
         post = cols["tier"][i]
         ladder = session.ladder

@@ -72,9 +72,16 @@ class TestBudgetAccountant:
             _ = accountant.overall_energy_per_work
 
     def test_energy_trace_records_each_iteration(self, accountant):
-        accountant.record(1.0, 5.0)
-        accountant.record(1.0, 7.0)
-        assert accountant.energy_trace == [5.0, 7.0]
+        # The accountant keeps tallies, not a per-iteration list; each
+        # record() moves the tallies by exactly that iteration's values.
+        trace = []
+        for energy_j in (5.0, 7.0):
+            before = accountant.energy_used_j
+            accountant.record(1.0, energy_j)
+            trace.append(accountant.energy_used_j - before)
+        assert trace == [5.0, 7.0]
+        assert accountant.work_done == 2.0
+        assert not hasattr(accountant, "energy_trace")
 
     def test_negative_inputs_rejected(self, accountant):
         with pytest.raises(ValueError):

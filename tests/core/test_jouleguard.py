@@ -32,8 +32,11 @@ TRUE_RATES = (10.0, 6.0)
 TRUE_POWERS = (100.0, 30.0)
 
 
-def run_plant(runtime, n_iterations, rng=None, rate_noise=0.0):
-    """Drive the runtime against the toy plant; return energy history."""
+def run_plant(runtime, n_iterations, rng=None, rate_noise=0.0, log=None):
+    """Drive the runtime against the toy plant; return energy history.
+
+    ``log``, when given, collects every decision ``step`` returns.
+    """
     rng = rng or np.random.default_rng(0)
     energies, accuracies = [], []
     for _ in range(n_iterations):
@@ -46,9 +49,12 @@ def run_plant(runtime, n_iterations, rng=None, rate_noise=0.0):
         energy = power * time_s
         energies.append(energy)
         accuracies.append(decision.app_config.accuracy)
-        runtime.step(
+        decision = runtime.step(
             Measurement(work=1.0, energy_j=energy, rate=rate, power_w=power)
         )
+        assert decision is runtime.current_decision
+        if log is not None:
+            log.append(decision)
     return energies, accuracies
 
 
@@ -123,10 +129,16 @@ class TestRuntimeMechanics:
         assert decision.app_config.speedup >= 1.0
 
     def test_decisions_logged(self):
+        # The runtime keeps only the pending decision; a caller that
+        # wants the history logs what each step returns.
         n = 50
         runtime = make_runtime(2.0, n)
-        run_plant(runtime, n)
-        assert len(runtime.decisions) == n + 1  # initial + one per step
+        log = [runtime.current_decision]
+        run_plant(runtime, n, log=log)
+        assert len(log) == n + 1  # initial + one per step
+        assert log[-1] is runtime.current_decision
+        assert all(d.system_index in (0, 1) for d in log)
+        assert len({id(d) for d in log}) == n + 1  # a new one per step
 
     def test_work_complete_freezes_operating_point(self):
         n = 10
@@ -165,13 +177,16 @@ class TestRuntimeMechanics:
     def test_app_selection_respects_eqn6(self):
         n = 300
         runtime = make_runtime(3.0, n)
-        run_plant(runtime, n)
-        for decision in runtime.decisions[20:]:
-            if decision.feasible:
-                assert (
-                    decision.app_config.speedup
-                    >= decision.speedup_setpoint - 1e-9
-                )
+        log = []
+        run_plant(runtime, n, log=log)
+        assert len(log) == n
+        feasible = [decision for decision in log[19:] if decision.feasible]
+        assert feasible
+        for decision in feasible:
+            assert (
+                decision.app_config.speedup
+                >= decision.speedup_setpoint - 1e-9
+            )
 
 
 class TestSafeFallback:
@@ -195,3 +210,42 @@ class TestSafeFallback:
         runtime.pin_safe_fallback()
         assert runtime.seo.epsilon == epsilon
         assert runtime.seo.visited_count == visited
+
+
+class TestRetainedMemory:
+    def test_a_session_does_not_grow_with_its_step_count(self):
+        # Every per-step record the runtime kept (decision history,
+        # energy trace) grew by one entry per heartbeat for the life of
+        # a daemon session.  After warm-up, 2000 more steps must leave
+        # the runtime's own allocations where 200 steps left them.
+        import gc
+        import os
+        import tracemalloc
+
+        import repro
+
+        runtime = make_runtime(1.5, 10_000)
+        rng = np.random.default_rng(1)
+        run_plant(runtime, 300, rng=rng, rate_noise=0.05)
+        only_repro = [
+            tracemalloc.Filter(
+                True, os.path.join(os.path.dirname(repro.__file__), "*")
+            )
+        ]
+
+        def retained():
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces(only_repro)
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            run_plant(runtime, 200, rng=rng, rate_noise=0.05)
+            before = retained()
+            run_plant(runtime, 2000, rng=rng, rate_noise=0.05)
+            after = retained()
+        finally:
+            tracemalloc.stop()
+        # A kept record per step would be >= 2000 × 24 B; allow a few
+        # hundred bytes of allocator noise.
+        assert after - before < 1024, f"{after - before} B retained"

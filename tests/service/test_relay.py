@@ -250,3 +250,64 @@ def test_an_abandoned_rid_steps_its_session_once(router):
     ))
     assert report["report"]["steps"] == 10
     wire.send(json.dumps(_request("close", session)).encode() + b"\n")
+
+
+def _too_long_open(live, granted_j):
+    return {
+        "type": "open_session",
+        "machine": "tablet",
+        "app": "x264",
+        "factor": 1.5,
+        "total_work": 200.0,
+        "seed": 25,
+        "client": "é" * 300_000,
+        "warm_start": False,
+    }
+
+
+def _too_long_batch(live, granted_j):
+    # The worker ignores a measurement's unknown fields, but the router
+    # forwards them, so they count against the worker's line limit.
+    measurement = _step(live, 0.002 * granted_j)["measurement"]
+    return {
+        "type": "batch_step",
+        "session": live,
+        "measurements": [measurement, {**measurement, "note": "é" * 300_000}],
+    }
+
+
+@pytest.mark.parametrize("make", [_too_long_open, _too_long_batch])
+def test_a_request_too_long_for_its_worker_is_refused_unsent(router, make):
+    # The router re-encodes open_session and batch_step for its worker
+    # with every non-ASCII character escaped, so a client line under
+    # the limit can come out over it.  The router must refuse it
+    # itself: a worker that received it would answer bad_request and
+    # hang up, and the router would take that for a crash (restart,
+    # forfeit).
+    router, wire, _ = router
+    replies = []
+    live, granted_j = _open(wire, replies, seed=24)
+    handle = router._workers[0]
+    forfeited_uj = router.ledger.forfeited_uj
+    steps = _steps_total(router)
+    if make is _too_long_batch:
+        # One step before the next rebalance: the router splits the
+        # batch after its first entry, so only a check of the whole
+        # batch up front keeps that entry from being applied.
+        router._steps_since_rebalance = router.rebalance_period - 1
+    line = json.dumps(make(live, granted_j), ensure_ascii=False).encode()
+    assert 500_000 < len(line) < 1_000_000
+    refused = json.loads(wire.send(line + b"\n"))
+    assert refused["ok"] is False
+    assert refused["error"]["code"] == "bad_request"
+    assert router._workers[0] is handle and handle.alive()
+    assert router.ledger.forfeited_uj == forfeited_uj
+    for _ in range(3):
+        stepped = json.loads(wire.send(
+            json.dumps(_step(live, 0.002 * granted_j)).encode() + b"\n"
+        ))
+        assert stepped["ok"], stepped
+    # Nothing of the refused request was applied.
+    assert _steps_total(router) == steps + 3
+    router.ledger.assert_balanced()
+    wire.send(json.dumps(_request("close", live)).encode() + b"\n")
