@@ -19,11 +19,6 @@ the real blocking client:
   latency (per *frame* in the batched family), and the per-client
   steps/sec spread (min/mean/max exposes unfair scheduling the
   aggregate hides);
-* vexec A/B — the same one-heartbeat load against a scalar daemon and
-  a ``--exec vector`` daemon (micro-batched SessionPool stepping);
-  the vector backend must sustain ≥ 1.5× scalar at 32 clients
-  (noise-qualified assert) with the 3× target and the 1-client p95
-  ratio recorded per host;
 * telemetry overhead — the same load against a daemon with
   ``ServiceTelemetry.disabled()`` vs the default enabled telemetry;
   the enabled daemon must stay within 5 % of the disabled one's
@@ -101,18 +96,6 @@ BATCH_SPEEDUP_FLOOR = 2.0
 #: of the 8-client row (the pre-shard regression was a collapse).
 NO_COLLAPSE_FLOOR = 0.5
 
-#: The vectorized backend A/B (``--exec vector`` vs scalar, same
-#: daemon shape, same load).  The *floor* is asserted (noise-
-#: qualified); the 3× *target* is recorded per host like the absolute
-#: steps/s target above.
-VEXEC_CLIENTS = 32
-VEXEC_SPEEDUP_FLOOR = 1.5
-VEXEC_SPEEDUP_TARGET = 3.0
-#: 1-client p95 round-trip latency under the vector backend must stay
-#: within this ratio of scalar — the lone-heartbeat fast path must
-#: keep the gather window free for uncontended clients.  Recorded.
-VEXEC_P95_LIMIT = 1.10
-
 #: Keys of ``LoadReport.as_dict`` whose median across repeats is the
 #: headline number; the rest (client/step counts) are invariant.
 _MEDIAN_KEYS = (
@@ -133,7 +116,6 @@ _results = {
     "load": [],
     "target": {},
     "overhead": {},
-    "vector": {},
     "convergence": {},
 }
 
@@ -163,17 +145,6 @@ def daemon(tmp_path_factory):
     )
     sock = str(tmp_path_factory.mktemp("service") / "bench.sock")
     with ServerThread(manager, unix_path=sock):
-        yield sock
-
-
-@pytest.fixture(scope="module")
-def vector_daemon(tmp_path_factory):
-    """Same daemon shape as ``daemon``, stepping via the vexec engine."""
-    manager = SessionManager(
-        global_budget_j=1e9, store=SnapshotStore()
-    )
-    sock = str(tmp_path_factory.mktemp("vservice") / "bench.sock")
-    with ServerThread(manager, unix_path=sock, exec_mode="vector"):
         yield sock
 
 
@@ -287,137 +258,6 @@ def test_scaling_shape():
         f"{TARGET_CLIENTS} clients ({batched / frame1:.1f}x frame1); "
         f"target {TARGET_STEPS_PER_S:.0f} "
         f"{'met' if met else 'NOT met on this host'}"
-    )
-
-
-def test_vector_vs_scalar_ab(daemon, vector_daemon, repeats):
-    """A/B the vexec backend against scalar stepping, same wire shape.
-
-    Two wire shapes, one variable (the step execution backend): the
-    1-client point drives one-heartbeat frames — the latency shape,
-    where the gather window must cost nothing — and the contended
-    point drives ``BATCH``-heartbeat frames, the deployment shape
-    (PR 9's pipelining), where frames interleave across sessions and
-    the pool steps full waves.
-    Each repeat measures both daemons in an ABBA sweep (scalar,
-    vector, vector, scalar) so shared-host clock drift cancels within
-    the repeat; the headline speedup is the median of per-repeat
-    elapsed-time ratios (equal step counts per mode, so the time ratio
-    is the throughput ratio).
-
-    Asserted: at ``VEXEC_CLIENTS`` concurrent clients the vector
-    backend sustains at least ``VEXEC_SPEEDUP_FLOOR``× scalar on
-    multi-core hosts (single-core hosts gate at no-regression — the
-    in-process generator dilutes the ratio structurally there), both
-    noise-qualified by the scalar legs' spread.  Recorded: the 3×
-    target and the 1-client p95 ratio (the lone-heartbeat fast path
-    must not tax uncontended clients with the gather window).
-    """
-    points = {}
-    for n_clients, steps, batch in (
-        (1, 256, 1),
-        (VEXEC_CLIENTS, 256, BATCH),
-    ):
-        rates = {"scalar": [], "vector": []}
-        p95s = {"scalar": [], "vector": []}
-        ratios = []
-        for repeat in range(repeats):
-            time.sleep(0.5)
-            sweep = {"scalar": 0.0, "vector": 0.0}
-            for leg, mode in enumerate(
-                ("scalar", "vector", "vector", "scalar")
-            ):
-                report = run_load(
-                    n_clients,
-                    steps=steps,
-                    unix_path=(
-                        daemon if mode == "scalar" else vector_daemon
-                    ),
-                    base_seed=(
-                        7000 + 1000 * n_clients + 100 * repeat + 10 * leg
-                    ),
-                    batch=batch,
-                    fast=True,
-                )
-                assert report.errors == 0
-                assert report.total_steps == n_clients * steps
-                sweep[mode] += report.elapsed_s
-                rates[mode].append(report.steps_per_s)
-                p95s[mode].append(
-                    report.p95_step_latency_s * 1000.0
-                )
-            ratios.append(sweep["scalar"] / sweep["vector"])
-        noise_cv = statistics.pstdev(
-            rates["scalar"]
-        ) / statistics.mean(rates["scalar"])
-        points[n_clients] = {
-            "n_clients": n_clients,
-            "steps_per_client": steps,
-            "frame_heartbeats": batch,
-            "steps_per_s_scalar": statistics.median(rates["scalar"]),
-            "steps_per_s_vector": statistics.median(rates["vector"]),
-            "p95_ms_scalar": statistics.median(p95s["scalar"]),
-            "p95_ms_vector": statistics.median(p95s["vector"]),
-            "speedup": statistics.median(ratios),
-            "host_noise_cv": noise_cv,
-        }
-        print(
-            f"\nvexec A/B {n_clients:>3} clients (median of {repeats}):"
-            f" scalar {points[n_clients]['steps_per_s_scalar']:8.1f}"
-            f" vector {points[n_clients]['steps_per_s_vector']:8.1f}"
-            f" steps/s  speedup {points[n_clients]['speedup']:.2f}x"
-            f"  (noise cv {100 * noise_cv:.2f}%)"
-        )
-
-    contended = points[VEXEC_CLIENTS]
-    lone = points[1]
-    # Qualified floor, in the spirit of the telemetry gate's
-    # ``max(limit, noise)``: the 1.5× claim is about the daemon, but
-    # this A/B measures daemon + load generator end to end, and on a
-    # single-core host the two serialize on one CPU, so the vector
-    # win arrives diluted by the client-side wire work both backends
-    # share (structural, not noise).  A 1-core box therefore gates at
-    # "no regression" (1.0× — which still catches a genuinely slower
-    # engine, e.g. an evict storm), a multi-core box at the real
-    # 1.5×; both relax by the measured scalar-leg spread instead of
-    # flaking on a throttling shared host.
-    cores = os.cpu_count() or 1
-    resolvable = cores > 1
-    base_floor = VEXEC_SPEEDUP_FLOOR if resolvable else 1.0
-    floor = base_floor * (1.0 - contended["host_noise_cv"])
-    p95_ratio = lone["p95_ms_vector"] / lone["p95_ms_scalar"]
-    _results["vector"] = {
-        "points": list(points.values()),
-        "speedup": {
-            "at_clients": VEXEC_CLIENTS,
-            "target": VEXEC_SPEEDUP_TARGET,
-            "floor": VEXEC_SPEEDUP_FLOOR,
-            "host_cores": cores,
-            "floor_resolvable_on_host": resolvable,
-            "floor_qualified": floor,
-            "measured": contended["speedup"],
-            "met": contended["speedup"] >= VEXEC_SPEEDUP_TARGET,
-        },
-        "p95_1_client": {
-            "scalar_ms": lone["p95_ms_scalar"],
-            "vector_ms": lone["p95_ms_vector"],
-            "ratio": p95_ratio,
-            "limit": VEXEC_P95_LIMIT,
-            "met": p95_ratio <= VEXEC_P95_LIMIT,
-        },
-    }
-    print(
-        f"vexec: speedup {contended['speedup']:.2f}x at "
-        f"{VEXEC_CLIENTS} clients (target {VEXEC_SPEEDUP_TARGET:.1f}x "
-        f"{'met' if _results['vector']['speedup']['met'] else 'NOT met on this host'}); "
-        f"1-client p95 ratio {p95_ratio:.3f} "
-        f"(limit {VEXEC_P95_LIMIT:.2f} "
-        f"{'met' if p95_ratio <= VEXEC_P95_LIMIT else 'NOT met on this host'})"
-    )
-    assert contended["speedup"] >= floor, (
-        f"vector backend no longer pays for itself: "
-        f"{contended['speedup']:.2f}x vs noise-qualified floor "
-        f"{floor:.2f}x at {VEXEC_CLIENTS} clients"
     )
 
 
@@ -561,7 +401,6 @@ def test_warm_vs_cold_convergence(daemon):
         ],
         "target": _results["target"],
         "overhead": _results["overhead"],
-        "vector": _results["vector"],
         "convergence": _results["convergence"],
     }
     path = write_repo_result(

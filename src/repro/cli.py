@@ -233,8 +233,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             reap_interval_s=args.reap_interval,
             metrics_host=args.metrics_host,
             metrics_port=args.metrics_port,
-            exec_mode=args.exec_mode,
-            vexec_solo_after=args.vexec_solo_after,
         )
         print(
             f"serving sharded JouleGuard ({args.shards} workers) on "
@@ -265,8 +263,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         metrics_host=args.metrics_host,
         metrics_port=args.metrics_port,
         admin=args.admin,
-        exec_mode=args.exec_mode,
-        vexec_solo_after=args.vexec_solo_after,
     )
     return 0
 
@@ -276,11 +272,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     The workload is the daemon's step hot path, in-process (no
     sockets): N sessions driven round-robin for S heartbeats each,
-    through the scalar ``handle_line`` or the vectorized engine —
-    exactly what the throughput bench times, so hot-path claims in
-    BENCH files can be checked against a named function list.
+    through ``handle_line`` — exactly what the throughput bench times,
+    so hot-path claims in BENCH files can be checked against a named
+    function list.
     """
-    import asyncio
     import cProfile
     import json as jsonlib
     import pstats
@@ -291,7 +286,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         SnapshotStore,
         encode_message,
     )
-    from .service.vexec import VexecEngine
 
     manager = SessionManager(
         global_budget_j=1e9, store=SnapshotStore()
@@ -318,42 +312,21 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "power_w": 5.0,
     }
     profiler = cProfile.Profile()
-    if args.exec_mode == "vector":
-        from .core.types import Measurement
-
-        heartbeat = Measurement(**measurement)
-
-        async def drive() -> None:
-            engine = VexecEngine(manager)
-            engine.start()
-            try:
-                for _ in range(args.steps):
-                    await asyncio.gather(*[
-                        engine.step_one(sid, heartbeat)
-                        for sid in session_ids
-                    ])
-            finally:
-                await engine.aclose()
-
-        profiler.enable()
-        asyncio.run(drive())
-        profiler.disable()
-    else:
-        lines = [
-            encode_message(
-                {
-                    "type": "step",
-                    "session": sid,
-                    "measurement": measurement,
-                }
-            )
-            for _ in range(args.steps)
-            for sid in session_ids
-        ]
-        profiler.enable()
-        for line in lines:
-            server.handle_line(line)
-        profiler.disable()
+    lines = [
+        encode_message(
+            {
+                "type": "step",
+                "session": sid,
+                "measurement": measurement,
+            }
+        )
+        for _ in range(args.steps)
+        for sid in session_ids
+    ]
+    profiler.enable()
+    for line in lines:
+        server.handle_line(line)
+    profiler.disable()
 
     stats = pstats.Stats(profiler)
     heartbeats = args.steps * args.sessions
@@ -376,7 +349,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             jsonlib.dumps(
                 {
                     "workload": {
-                        "exec": args.exec_mode,
                         "machine": args.machine,
                         "app": args.app,
                         "factor": args.factor,
@@ -396,8 +368,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     else:
         print(
             f"profiled {heartbeats} heartbeats "
-            f"({args.sessions} sessions x {args.steps} steps, "
-            f"exec={args.exec_mode}): {stats.total_tt:.3f} s, "
+            f"({args.sessions} sessions x {args.steps} steps): "
+            f"{stats.total_tt:.3f} s, "
             f"{heartbeats / max(stats.total_tt, 1e-12):,.0f} steps/s"
         )
         stats.sort_stats("cumulative").print_stats(args.top)
@@ -844,20 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the admin_* verbs (shard workers only; never on "
         "a listener facing untrusted clients)",
     )
-    serve_cmd.add_argument(
-        "--exec", dest="exec_mode", choices=("scalar", "vector"),
-        default="scalar",
-        help="step execution backend: 'scalar' steps one session per "
-        "heartbeat; 'vector' micro-batches concurrent heartbeats into "
-        "exact-mode SessionPool steps (same decisions, A/B-able)",
-    )
-    serve_cmd.add_argument(
-        "--vexec-solo-after", dest="vexec_solo_after", type=int,
-        default=None, metavar="N",
-        help="with --exec vector: after N consecutive single-session "
-        "flushes, serve lone heartbeats scalar-side (uncontended fast "
-        "path; negative keeps every heartbeat in the pool)",
-    )
     serve_cmd.set_defaults(func=_cmd_serve)
 
     profile_cmd = sub.add_parser(
@@ -875,11 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument(
         "--steps", type=int, default=2000,
         help="heartbeats per session",
-    )
-    profile_cmd.add_argument(
-        "--exec", dest="exec_mode", choices=("scalar", "vector"),
-        default="scalar",
-        help="which step execution backend to profile",
     )
     profile_cmd.add_argument(
         "--top", type=int, default=25,

@@ -31,6 +31,7 @@ an overflowing or vanishing measurement), the argmax scores every arm.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence
 
@@ -158,11 +159,15 @@ class SystemEnergyOptimizer:
         self._power_shape = self._prior.power_shape
         # Scales for which the prior-ratio window holds (see
         # _SCALED_RANGE): rate scale, then power scale, low and high.
+        # Each bound is clamped to the normal range, so a bound that
+        # overflows (tiny shapes) or underflows (huge ones) cannot
+        # admit an inf or zero scale; clamping only narrows the window.
+        tiny, huge = sys.float_info.min, sys.float_info.max
         self._window_scales = (
-            1.0 / (_SCALED_RANGE * float(rates.min())),
-            _SCALED_RANGE / (float(rates.max()) * optimism),
-            optimism / (_SCALED_RANGE * float(powers.min())),
-            _SCALED_RANGE / float(powers.max()),
+            max(1.0 / (_SCALED_RANGE * float(rates.min())), tiny),
+            min(_SCALED_RANGE / (float(rates.max()) * optimism), huge),
+            max(optimism / (_SCALED_RANGE * float(powers.min())), tiny),
+            min(_SCALED_RANGE / float(powers.max()), huge),
         )
         self.load_tables(
             np.zeros(self.n_configs),
@@ -314,9 +319,9 @@ class SystemEnergyOptimizer:
     ) -> None:
         """Replace the per-arm EWMA tables, visit mask, and scales.
 
-        The one way to load learned tables (from a snapshot or a fleet
-        pool row): copies the inputs and rebuilds the stored
-        efficiencies the Eqn. 3 argmax reads.
+        The one way to load learned tables (from a snapshot): copies
+        the inputs and rebuilds the stored efficiencies the Eqn. 3
+        argmax reads.
         """
         rates = np.array(rate_est, dtype=float)
         powers = np.array(power_est, dtype=float)

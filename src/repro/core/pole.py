@@ -119,11 +119,6 @@ class AdaptivePole:
         self._pole = pole_for_error(self._delta, self.margin)
         return self._pole
 
-    def load_delta(self, delta: float) -> None:
-        """Set the smoothed δ directly (a fleet pool row written back)."""
-        self._delta = delta
-        self._pole = pole_for_error(delta, self.margin)
-
     @property
     def delta(self) -> float:
         return self._delta

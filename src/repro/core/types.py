@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class Measurement:
@@ -20,7 +22,9 @@ class Measurement:
 
     ``rate`` is observed application performance (work units/second,
     including the effect of the current application configuration) and
-    ``power_w`` the observed full-system power.
+    ``power_w`` the observed full-system power.  Every field must be
+    finite: one ``inf`` rate would leave the learned tables and the
+    adaptive pole NaN for the rest of the session.
     """
 
     work: float
@@ -29,10 +33,17 @@ class Measurement:
     power_w: float
 
     def __post_init__(self) -> None:
-        if self.work <= 0 or self.rate <= 0 or self.power_w <= 0:
-            raise ValueError("work, rate, and power must be positive")
-        if self.energy_j < 0:
-            raise ValueError("energy cannot be negative")
+        # Chained comparisons against inf also fail for NaN.
+        if not (
+            0.0 < self.work < _INF
+            and 0.0 < self.rate < _INF
+            and 0.0 < self.power_w < _INF
+        ):
+            raise ValueError(
+                "work, rate, and power must be positive and finite"
+            )
+        if not 0.0 <= self.energy_j < _INF:
+            raise ValueError("energy must be finite and non-negative")
 
 
 @runtime_checkable

@@ -49,13 +49,7 @@ from ..core.contracts import check
 from ..core.kalman import KalmanBank
 from ..core.pole import pole_for_error_array
 from ..core.vdbe import vdbe_difference_array
-from ..enforce.ladder import (
-    DEFAULT_LADDER,
-    EnforcementLadder,
-    LadderPolicy,
-    OverdraftSignal,
-    Tier,
-)
+from ..enforce.ladder import DEFAULT_LADDER, LadderPolicy, Tier
 from ..enforce.vector import (
     desired_tier_array,
     ladder_observe_array,
@@ -120,10 +114,6 @@ class SessionPool:
         # (scale-free) and a reusable (n, C) efficiency buffer.
         self._shape_eff = spec.rate_shape / spec.power_shape
         self._eff_scratch: Optional[np.ndarray] = None
-        self._fpos_by_index = {
-            int(index): position
-            for position, index in enumerate(spec.frontier_indices)
-        }
 
         def f64(n: int = 0) -> np.ndarray:
             return np.zeros(n, dtype=np.float64)
@@ -174,12 +164,6 @@ class SessionPool:
         self.degrade_attempted = boolean()
         self.degraded = boolean()
         self.throttle_s = f64()
-        # Last ladder observation per row (for TierTransition synthesis
-        # and scalar ``_last_signal`` reconstruction on :meth:`evict`).
-        self.last_overrun = f64()
-        self.last_burn = f64()
-        self.last_headroom = f64()
-        self.has_signal = boolean()
         # Lifecycle.
         self.alive = boolean()
         self.killed = boolean()
@@ -334,267 +318,6 @@ class SessionPool:
                 gen for gen, k in zip(self._gens, keep) if bool(k)
             ]
         return kept
-
-    # -- scalar <-> vector migration -----------------------------------
-    def adopt(
-        self,
-        runtime: Any,
-        *,
-        seed: int = 0,
-        steps: int = 0,
-        ladder: Optional[EnforcementLadder] = None,
-        recent_epw: Optional[float] = None,
-        recent_step_energy_j: Optional[float] = None,
-        degraded: bool = False,
-        throttle_s: float = 0.0,
-        warm: bool = False,
-    ) -> int:
-        """Lower a live scalar session into the pool; return its row.
-
-        ``runtime`` is a :class:`~repro.core.jouleguard.JouleGuardRuntime`
-        mid-life; its learner tables, scale calibration, pole error,
-        controller integral, budget ledgers, and pending decision are
-        copied into a fresh row, and — in ``"exact"`` mode — its
-        exploration Generator is *transferred* into the pool so the
-        pooled draws continue the scalar stream bit-for-bit (the pool
-        draws in the scalar call order).  ``ladder`` and the keyword
-        smoothers carry the manager-side state
-        (:class:`~repro.service.sessions.SessionManager` step path).
-        :meth:`evict` reverses the move; the round trip is exact, so a
-        session can migrate between representations mid-life without
-        perturbing its trajectory.
-
-        Raises :class:`FleetError` when the session cannot be
-        represented by this cohort's shared tables (mismatched priors,
-        frontier, learner parameters, or ladder policy) — callers fall
-        back to scalar stepping.
-        """
-        spec = self.spec
-        seo = runtime.seo
-        if seo.n_configs != spec.n_configs:
-            raise FleetError(
-                "session's configuration space does not match the cohort"
-            )
-        if (
-            seo.alpha != spec.alpha
-            or seo.optimism != spec.optimism
-            or not np.array_equal(seo._rate_shape, spec.rate_shape)
-            or not np.array_equal(seo._power_shape, spec.power_shape)
-        ):
-            raise FleetError(
-                "session's SEO priors do not match the cohort spec"
-            )
-        vdbe = seo.vdbe
-        if (
-            vdbe.sigma != spec.vdbe_sigma
-            or vdbe.alpha != spec.vdbe_alpha
-            or vdbe.relative != spec.vdbe_relative
-            or vdbe.min_weight != spec.vdbe_min_weight
-        ):
-            raise FleetError(
-                "session's VDBE parameters do not match the cohort spec"
-            )
-        pole = runtime.pole_adapter
-        if (
-            pole.margin != spec.pole_margin
-            or pole.smoothing != spec.pole_smoothing
-        ):
-            raise FleetError(
-                "session's pole parameters do not match the cohort spec"
-            )
-        controller = runtime.controller
-        if (
-            controller.min_speedup != spec.min_speedup
-            or controller.max_speedup != spec.max_speedup
-        ):
-            raise FleetError(
-                "session's controller clamp does not match the cohort spec"
-            )
-        if runtime.feasibility_slack != spec.feasibility_slack:
-            raise FleetError(
-                "session's feasibility slack does not match the cohort spec"
-            )
-        frontier = runtime.table.pareto_frontier
-        if len(frontier) != spec.n_frontier or any(
-            config.index != int(spec.frontier_indices[p])
-            or config.speedup != float(spec.frontier_speedups[p])
-            for p, config in enumerate(frontier)
-        ):
-            raise FleetError(
-                "session's application frontier does not match the cohort"
-            )
-        if (ladder is None) != (self.policy is None) or (
-            ladder is not None and ladder.policy != self.policy
-        ):
-            raise FleetError(
-                "session's ladder policy does not match the pool"
-            )
-        decision = runtime.current_decision
-        fpos = self._fpos_by_index.get(
-            int(getattr(decision.app_config, "index", -1))
-        )
-        if fpos is None:
-            raise FleetError(
-                "session's application configuration is not on the frontier"
-            )
-
-        row = self.n
-        self._grow(1)
-        goal = runtime.accountant.goal
-        self.seeds[row] = int(seed)
-        self.steps[row] = int(steps)
-        self.total_work[row] = goal.total_work
-        self.budget_j[row] = goal.budget_j
-        self.adjustment_j[row] = runtime.accountant.adjustment_j
-        self.work_done[row] = runtime.accountant.work_done
-        self.energy_used_j[row] = runtime.accountant.energy_used_j
-        self.rate_est[row] = seo._rate_est
-        self.power_est[row] = seo._power_est
-        self.visited[row] = seo._visited
-        has_scale = seo._rate_scale is not None
-        self.has_scale[row] = has_scale
-        self.rate_scale[row] = seo._rate_scale if has_scale else 0.0
-        self.power_scale[row] = seo._power_scale if has_scale else 0.0
-        self.epsilon[row] = vdbe.epsilon
-        self.updates[row] = seo.updates
-        self.last_rate_delta[row] = seo.last_rate_delta
-        self.pole_delta[row] = pole.delta
-        self.ctrl_speedup[row] = controller.speedup
-        self.goal_infeasible[row] = bool(runtime.goal_reported_infeasible)
-        self.recent_epw[row] = (
-            0.0 if recent_epw is None else float(recent_epw)
-        )
-        self.has_epw[row] = recent_epw is not None
-        self.recent_step_energy_j[row] = (
-            0.0
-            if recent_step_energy_j is None
-            else float(recent_step_energy_j)
-        )
-        self.has_step_energy[row] = recent_step_energy_j is not None
-        if ladder is not None:
-            self.tier[row] = int(ladder.tier)
-            self.calm_streak[row] = ladder._calm_streak
-            self.tier_peak[row] = int(ladder.tier)
-            self.transition_count[row] = len(ladder.transitions)
-            self.degrade_attempted[row] = ladder.degrade_attempted
-            signal = ladder._last_signal
-            if signal is not None:
-                self.last_overrun[row] = signal.projected_overrun
-                self.last_burn[row] = signal.burn_fraction
-                self.last_headroom[row] = signal.headroom_steps
-                self.has_signal[row] = True
-        self.degraded[row] = bool(degraded)
-        self.throttle_s[row] = float(throttle_s)
-        self.alive[row] = True
-        self.kill_step[row] = -1
-        self.warm[row] = bool(warm)
-        self.d_sys[row] = decision.system_index
-        self.d_fpos[row] = fpos
-        self.d_setpoint[row] = decision.speedup_setpoint
-        self.d_pole[row] = decision.pole
-        self.d_epsilon[row] = decision.epsilon
-        self.d_explored[row] = decision.explored
-        self.d_feasible[row] = decision.feasible
-        if self.mode == "exact":
-            self._gens.append(seo._rng)
-        return row
-
-    def evict(
-        self,
-        row: int,
-        runtime: Any,
-        ladder: Optional[EnforcementLadder] = None,
-    ) -> Dict[str, Any]:
-        """Raise a row back into its scalar objects; retire the row.
-
-        The inverse of :meth:`adopt`: learner tables, scales, epsilon,
-        pole error, controller integral, ledgers, and the pending
-        decision are written back into ``runtime`` (and the tier /
-        calm-streak / last-signal into ``ladder``), the exploration
-        Generator is handed back in ``"exact"`` mode, and the row is
-        marked dead for the next :meth:`compact`.  Returns the
-        manager-side fields the caller owns (step count, smoothers,
-        degraded/throttle flags, kill status).
-
-        Works on killed rows too, so a session killed while pooled can
-        be written back before its close/report.  Per-transition ladder
-        records, which the pool does not keep, are the caller's to
-        maintain while the session is pooled (the service engine writes
-        them through per flush); only the *latest* state is restored
-        here.
-        """
-        if not 0 <= row < self.n:
-            raise FleetError(f"row {row} out of range")
-        from ..core.jouleguard import Decision
-
-        seo = runtime.seo
-        has_scale = bool(self.has_scale[row])
-        seo.load_tables(
-            self.rate_est[row],
-            self.power_est[row],
-            self.visited[row],
-            float(self.rate_scale[row]) if has_scale else None,
-            float(self.power_scale[row]) if has_scale else None,
-        )
-        seo.vdbe.epsilon = float(self.epsilon[row])
-        seo.updates = int(self.updates[row])
-        seo.last_rate_delta = float(self.last_rate_delta[row])
-        if self.mode == "exact":
-            seo._rng = self._gens[row]
-        runtime.pole_adapter.load_delta(float(self.pole_delta[row]))
-        runtime.controller.speedup = float(self.ctrl_speedup[row])
-        accountant = runtime.accountant
-        accountant.work_done = float(self.work_done[row])
-        accountant.energy_used_j = float(self.energy_used_j[row])
-        accountant.adjustment_j = float(self.adjustment_j[row])
-        runtime.goal_reported_infeasible = bool(self.goal_infeasible[row])
-        decision = Decision(
-            system_index=int(self.d_sys[row]),
-            app_config=runtime.table.pareto_frontier[
-                int(self.d_fpos[row])
-            ],
-            speedup_setpoint=float(self.d_setpoint[row]),
-            pole=float(self.d_pole[row]),
-            epsilon=float(self.d_epsilon[row]),
-            explored=bool(self.d_explored[row]),
-            feasible=bool(self.d_feasible[row]),
-        )
-        runtime._decision = decision
-        if ladder is not None:
-            ladder.tier = Tier(int(self.tier[row]))
-            ladder._calm_streak = int(self.calm_streak[row])
-            ladder.degrade_attempted = bool(self.degrade_attempted[row])
-            signal = self.last_signal(row)
-            if signal is not None:
-                ladder._last_signal = signal
-        self.alive[row] = False
-        return {
-            "steps": int(self.steps[row]),
-            "recent_epw": (
-                float(self.recent_epw[row])
-                if bool(self.has_epw[row])
-                else None
-            ),
-            "recent_step_energy_j": (
-                float(self.recent_step_energy_j[row])
-                if bool(self.has_step_energy[row])
-                else None
-            ),
-            "degraded": bool(self.degraded[row]),
-            "throttle_s": float(self.throttle_s[row]),
-            "killed": bool(self.killed[row]),
-            "kill_step": int(self.kill_step[row]),
-        }
-
-    def last_signal(self, row: int) -> Optional[OverdraftSignal]:
-        """The row's last ladder observation as a scalar signal."""
-        if not bool(self.has_signal[row]):
-            return None
-        return OverdraftSignal(
-            projected_overrun=float(self.last_overrun[row]),
-            burn_fraction=float(self.last_burn[row]),
-            headroom_steps=float(self.last_headroom[row]),
-        )
 
     # -- Algorithm 1 + ladder, vectorized ------------------------------
     def step(
@@ -940,10 +663,6 @@ class SessionPool:
             self.recent_epw,
             self.recent_step_energy_j,
         )
-        self.last_overrun = np.where(m, overrun, self.last_overrun)
-        self.last_burn = np.where(m, burn, self.last_burn)
-        self.last_headroom = np.where(m, headroom, self.last_headroom)
-        self.has_signal = self.has_signal | m
         desired = desired_tier_array(self.policy, overrun, burn, headroom)
         new_tier, new_calm = ladder_observe_array(
             self.policy, self.tier, self.calm_streak, desired
@@ -1213,10 +932,6 @@ _ROW_ARRAYS = (
     "degrade_attempted",
     "degraded",
     "throttle_s",
-    "last_overrun",
-    "last_burn",
-    "last_headroom",
-    "has_signal",
     "alive",
     "killed",
     "kill_step",

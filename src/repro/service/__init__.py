@@ -23,10 +23,6 @@ Layers, bottom to top:
   channels;
 * :mod:`~repro.service.server` — the asyncio daemon (:func:`serve`,
   :class:`ServerThread`);
-* :mod:`~repro.service.vexec` — the vectorized execution backend
-  (``serve --exec vector``): the :class:`VexecEngine` micro-batches
-  concurrent heartbeats into exact-mode
-  :class:`~repro.fleet.pool.SessionPool` steps;
 * :mod:`~repro.service.client` — the blocking :class:`ServiceClient`
   and the :func:`run_load` load generator;
 * :mod:`~repro.service.lease` / :mod:`~repro.service.shard` — the
@@ -96,7 +92,6 @@ from .state import (
     validate_state,
 )
 from .telemetry import ServiceTelemetry, SessionStepRecorder
-from .vexec import VexecEngine
 
 __all__ = [
     "ADMIN_TYPES",
@@ -132,7 +127,6 @@ __all__ = [
     "SnapshotError",
     "SnapshotStore",
     "SnapshotVersionError",
-    "VexecEngine",
     "WorkerHandle",
     "apply_state",
     "batch_measurements_from_payload",

@@ -40,7 +40,6 @@ from .protocol import (
 )
 from .sessions import SessionError, SessionKilled, SessionManager
 from .transport import LineServer, LoopThread
-from .vexec import VexecEngine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.models import RequestChaos
@@ -87,17 +86,6 @@ class ServiceServer(LineServer):
         uses to lease budget and drive the global rebalance.  Enabled
         only on shard workers, whose sockets face the router rather
         than untrusted clients.
-    exec_mode:
-        ``"scalar"`` (default) steps sessions one at a time through
-        the synchronous dispatch; ``"vector"`` attaches a
-        :class:`~repro.service.vexec.VexecEngine` that micro-batches
-        concurrent ``step``/``batch_step`` heartbeats into vectorized
-        :class:`~repro.fleet.pool.SessionPool` steps (``mode="exact"``
-        — bit-identical decisions, A/B-able in production).
-    vexec_max_batch / vexec_max_delay_us / vexec_solo_after:
-        Gather-window and solo fast-path tuning for
-        ``exec_mode="vector"`` (see
-        :class:`~repro.service.vexec.VexecEngine`).
     """
 
     def __init__(
@@ -111,26 +99,11 @@ class ServiceServer(LineServer):
         metrics_host: Optional[str] = None,
         metrics_port: int = 0,
         admin: bool = False,
-        exec_mode: str = "scalar",
-        vexec_max_batch: int = 64,
-        vexec_max_delay_us: float = 150.0,
-        vexec_solo_after: Optional[int] = None,
     ) -> None:
         super().__init__(host, port, unix_path, metrics_host, metrics_port)
         if reap_interval_s <= 0:
             raise ValueError("reap interval must be positive")
-        if exec_mode not in ("scalar", "vector"):
-            raise ValueError(
-                f"exec_mode must be 'scalar' or 'vector', "
-                f"not {exec_mode!r}"
-            )
         self.manager = manager
-        self.exec_mode = exec_mode
-        self.vexec: Optional[VexecEngine] = None
-        self._vexec_max_batch = vexec_max_batch
-        self._vexec_max_delay_us = vexec_max_delay_us
-        self._vexec_solo_after = vexec_solo_after
-        self._rid_inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self.reap_interval_s = reap_interval_s
         self.chaos = chaos
         self.admin = admin
@@ -144,17 +117,6 @@ class ServiceServer(LineServer):
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> None:
         """Bind listeners and start the reaper (loop must be running)."""
-        if self.exec_mode == "vector":
-            kwargs = {}
-            if self._vexec_solo_after is not None:
-                kwargs["solo_after"] = self._vexec_solo_after
-            self.vexec = VexecEngine(
-                self.manager,
-                max_batch=self._vexec_max_batch,
-                max_delay_us=self._vexec_max_delay_us,
-                **kwargs,
-            )
-            self.vexec.start()
         await self._listen(self.port)
         if self.metrics_host is not None:
             self._metrics_http = MetricsHTTPServer(
@@ -178,7 +140,6 @@ class ServiceServer(LineServer):
         """
         reaper, self._reaper = self._reaper, None
         metrics_http, self._metrics_http = self._metrics_http, None
-        vexec, self.vexec = self.vexec, None
         if reaper is not None:
             reaper.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -186,8 +147,6 @@ class ServiceServer(LineServer):
         await self._close_listeners()
         if metrics_http is not None:
             await metrics_http.aclose()
-        if vexec is not None:
-            await vexec.aclose()
         self.manager.close_all()
 
     async def _reap_forever(self) -> None:
@@ -199,7 +158,7 @@ class ServiceServer(LineServer):
     def _serve_line(self, line: bytes) -> Any:
         """Answer inline, or hand the transport an awaitable."""
         response = None
-        if self.chaos is None and self.vexec is None:
+        if self.chaos is None:
             response = self.handle_line(line)
             if _throttle_of(response) <= 0.0:
                 return response
@@ -208,7 +167,7 @@ class ServiceServer(LineServer):
     async def _serve_suspended(
         self, line: bytes, response: Optional[Dict[str, Any]]
     ) -> Optional[Dict[str, Any]]:
-        """Chaos, vexec and THROTTLE holds; ``None`` hangs up."""
+        """Chaos and THROTTLE holds; ``None`` hangs up."""
         if response is None:
             action = "deliver"
             if self.chaos is not None:
@@ -221,10 +180,7 @@ class ServiceServer(LineServer):
                 # connection dies so the client sees it closed.
                 self.chaos_dropped_requests += 1
                 return None
-            if self.vexec is not None:
-                response = await self.handle_line_async(line)
-            else:
-                response = self.handle_line(line)
+            response = self.handle_line(line)
             if action == "drop_response":
                 # Processed, but the answer is "lost on the wire".
                 # The rid cache is what lets a retry recover this.
@@ -245,7 +201,9 @@ class ServiceServer(LineServer):
         response is cached (bounded by :data:`RID_CACHE_MAX`) and a
         retried ``rid`` is answered from the cache without re-executing.
         Error envelopes are never cached — a retry should re-attempt the
-        operation, since the failure may have been transient.
+        operation, since the failure may have been transient.  Nothing
+        here awaits, so a duplicate rid runs wholly before or after its
+        original and needs no in-flight reservation.
         """
         started_s = time.perf_counter()
         request_type = "invalid"
@@ -261,16 +219,6 @@ class ServiceServer(LineServer):
             response = self._dispatch(request_type, fields)
         except Exception as exc:  # daemon must answer every request
             response = _error_envelope(exc)
-        return self._answered(request_type, response, rid, started_s)
-
-    def _answered(
-        self,
-        request_type: str,
-        response: Dict[str, Any],
-        rid: Optional[str],
-        started_s: float,
-    ) -> Dict[str, Any]:
-        """Cache an ok response by rid; record the request's telemetry."""
         ok = bool(response.get("ok", False))
         if ok and rid is not None:
             response = dict(response)
@@ -282,152 +230,6 @@ class ServiceServer(LineServer):
             request_type, ok, time.perf_counter() - started_s
         )
         return response
-
-    async def handle_line_async(self, line: bytes) -> Dict[str, Any]:
-        """Async twin of :meth:`handle_line` for the vector backend.
-
-        ``step``/``batch_step`` suspend at the gather window, so this
-        path can interleave requests from many connections — which is
-        exactly what fills the micro-batches.  Because execution now
-        spans awaits, a ``rid`` is *reserved* before the first suspend
-        (the shard router's idiom): a concurrent retry of an in-flight
-        rid awaits the original execution's future instead of
-        re-executing the step.  The reservation is dropped on every
-        exit path — including cancellation — so an abandoned request
-        can never park a rid forever.  A waiter woken by an abandoned
-        original re-checks the cache and the in-flight map before
-        falling through: another parked retry may have re-reserved
-        the rid first, and a second execution would double-step the
-        session.
-        """
-        started_s = time.perf_counter()
-        try:
-            message = decode_message(line)
-            rid = request_id_of(message)
-        except ProtocolError as exc:
-            return self._answered(
-                "invalid", _error_envelope(exc), None, started_s
-            )
-        if rid is None:
-            return await self._execute_line_async(
-                message, None, started_s
-            )
-        while True:
-            if rid in self._rid_cache:
-                self.replayed_responses += 1
-                self._rid_cache.move_to_end(rid)
-                return self._rid_cache[rid]
-            inflight = self._rid_inflight.get(rid)
-            if inflight is None:
-                break
-            self.replayed_responses += 1
-            try:
-                return await asyncio.shield(inflight)
-            except asyncio.CancelledError:
-                if not inflight.cancelled():
-                    raise  # this waiter was cancelled
-                # The original execution was abandoned (its
-                # connection closed mid-flight); loop to re-check
-                # the maps before executing fresh.
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._rid_inflight[rid] = future
-        try:
-            response = await self._execute_line_async(
-                message, rid, started_s
-            )
-            if not future.done():
-                future.set_result(response)
-            return response
-        finally:
-            if self._rid_inflight.get(rid) is future:
-                del self._rid_inflight[rid]
-            if not future.done():
-                # Cancelled mid-execution: wake any duplicate
-                # waiters rather than leaving them parked forever.
-                future.cancel()
-
-    async def _execute_line_async(
-        self,
-        message: Dict[str, Any],
-        rid: Optional[str],
-        started_s: float,
-    ) -> Dict[str, Any]:
-        """Dispatch one decoded request; cache ok responses by rid."""
-        request_type = "invalid"
-        try:
-            request_type, fields = parse_request(message)
-            if request_type in ("step", "batch_step"):
-                handler = getattr(self, f"_handle_{request_type}_vexec")
-                response = await handler(fields)
-            else:
-                response = self._dispatch(request_type, fields)
-        except Exception as exc:  # daemon must answer every request
-            response = _error_envelope(exc)
-        return self._answered(request_type, response, rid, started_s)
-
-    async def _handle_step_vexec(
-        self, fields: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        assert self.vexec is not None
-        session_id = self._require_session(fields)
-        payload = fields.get("measurement")
-        measurement = measurement_from_payload(payload)
-        entry = await self.vexec.step_one(
-            session_id, measurement, sensor_ok_from_payload(payload)
-        )
-        if entry.get("killed"):
-            return ok_response(
-                "step",
-                killed=True,
-                report=entry["report"],
-                enforcement=entry["enforcement"],
-            )
-        return ok_response(
-            "step",
-            decision=entry["decision"],
-            enforcement=entry["enforcement"],
-        )
-
-    async def _handle_batch_step_vexec(
-        self, fields: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Vector twin of :meth:`_handle_batch_step`.
-
-        A batch is sequential *for its session* (each heartbeat feeds
-        the previous decision), so the entries flow through the gather
-        window one at a time — interleaving with other sessions'
-        heartbeats, which is what keeps the pool batches full under
-        concurrent batched load.  Validation, kill truncation, and the
-        summed throttle match the scalar handler exactly.
-        """
-        assert self.vexec is not None
-        session_id = self._require_session(fields)
-        entries = batch_measurements_from_payload(
-            fields.get("measurements")
-        )
-        # The whole frame goes to the engine as one pending: one
-        # future for 128 heartbeats instead of 128, with the engine
-        # interleaving frames across sessions flush by flush.
-        results = await self.vexec.step_many(session_id, entries)
-        killed = bool(results) and bool(results[-1].get("killed"))
-        # The killed entry's throttle is 0.0, so summing all entries
-        # matches the scalar handler's sum-then-break.
-        throttle_total = sum(
-            float(entry["enforcement"].get("throttle_s", 0.0))
-            for entry in results
-        )
-        return ok_response(
-            "batch_step",
-            results=results,
-            completed=len(results),
-            killed=killed,
-            enforcement={
-                "tier": results[-1]["enforcement"]["tier"],
-                "throttle_s": throttle_total,
-            },
-        )
 
     def _dispatch(
         self, request_type: str, fields: Dict[str, Any]
@@ -732,8 +534,6 @@ def serve(
     metrics_host: Optional[str] = None,
     metrics_port: int = 0,
     admin: bool = False,
-    exec_mode: str = "scalar",
-    vexec_solo_after: Optional[int] = None,
 ) -> None:
     """Run a daemon in the foreground until interrupted.
 
@@ -749,8 +549,6 @@ def serve(
         metrics_host=metrics_host,
         metrics_port=metrics_port,
         admin=admin,
-        exec_mode=exec_mode,
-        vexec_solo_after=vexec_solo_after,
     )
 
     async def _main() -> None:
@@ -789,8 +587,6 @@ class ServerThread(LoopThread):
         metrics_host: Optional[str] = None,
         metrics_port: int = 0,
         admin: bool = False,
-        exec_mode: str = "scalar",
-        vexec_solo_after: Optional[int] = None,
     ) -> None:
         self.manager = manager
         self.server = ServiceServer(
@@ -803,7 +599,5 @@ class ServerThread(LoopThread):
             metrics_host=metrics_host,
             metrics_port=metrics_port,
             admin=admin,
-            exec_mode=exec_mode,
-            vexec_solo_after=vexec_solo_after,
         )
         super().__init__(self.server, "jouleguard-service", 10.0)

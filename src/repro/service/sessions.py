@@ -290,7 +290,8 @@ class SessionManager:
         self._next_serial = 1
         self._spent_closed_j = 0.0
         self._steps_since_rebalance = 0
-        self.transfers: List[Dict[str, float]] = []
+        #: Rebalance plans applied, ever (served as ``"rebalances"``).
+        self.rebalances = 0
         self.sessions_opened = 0
         self.sessions_rejected = 0
         self.sessions_degraded = 0
@@ -302,23 +303,6 @@ class SessionManager:
         ] = {}
         self._machines: Dict[str, Machine] = {}
         self._apps: Dict[str, ApproximateApplication] = {}
-        #: Sync-on-demand hook for the vectorized execution backend
-        #: (:mod:`repro.service.vexec`).  When set, it is called with a
-        #: session id before any scalar read/write of that session, and
-        #: with ``None`` before whole-manager sweeps (rebalance), so a
-        #: pooled session is evicted back to its scalar objects before
-        #: any code path that expects them to be current.  ``None``
-        #: (the default) means every session is always scalar.
-        self.scalar_sync: Optional[Callable[[Optional[str]], None]] = None
-        #: Cheaper companions for the rebalance sweep, which reads only
-        #: accounting state (tallies, smoothed epw) and writes only
-        #: budget adjustments.  ``accounting_sync`` makes the scalar
-        #: accountants current *without* evicting pooled sessions;
-        #: ``accounting_merge`` pushes the adjustments a rebalance
-        #: granted back into the pooled rows afterwards.  When unset,
-        #: rebalance falls back to a full ``scalar_sync(None)`` evict.
-        self.accounting_sync: Optional[Callable[[], None]] = None
-        self.accounting_merge: Optional[Callable[[], None]] = None
         self._record_pool()
 
     # -- budget pool -----------------------------------------------------------
@@ -501,8 +485,6 @@ class SessionManager:
         raise SessionError(code, message, data=data)
 
     def _get(self, session_id: str) -> Session:
-        if self.scalar_sync is not None:
-            self.scalar_sync(session_id)
         session = self._sessions.get(session_id)
         if session is None:
             raise SessionError(
@@ -874,20 +856,6 @@ class SessionManager:
             accountant.energy_used_j - accountant.effective_budget_j,
         )
 
-    def _accounting_current(self) -> None:
-        """Make per-session accounting state scalar-current.
-
-        Rebalance reads only accountant tallies and ``recent_epw``, so
-        the vectorized backend can satisfy it with a cheap array copy
-        (``accounting_sync``) instead of evicting every pooled session;
-        without the cheap hook, the full ``scalar_sync(None)`` evict is
-        the conservative fallback.
-        """
-        if self.accounting_sync is not None:
-            self.accounting_sync()
-        elif self.scalar_sync is not None:
-            self.scalar_sync(None)
-
     def rebalance_inputs(
         self,
     ) -> Tuple[Dict[str, float], Dict[str, float]]:
@@ -898,7 +866,6 @@ class SessionManager:
         open order, and compute one daemon-wide plan with the exact
         arithmetic a single-process manager would have used.
         """
-        self._accounting_current()
         surpluses = {
             session_id: self._forecast_surplus(session)
             for session_id, session in self._sessions.items()
@@ -923,7 +890,6 @@ class SessionManager:
         ignored (the router sends each worker the full daemon-wide
         plan; a worker applies its own slice).
         """
-        self._accounting_current()
         applied: List[Tuple[BudgetAccountant, float]] = []
         recorded = {
             session_id: 0.0
@@ -951,13 +917,7 @@ class SessionManager:
             for accountant, applied_j in reversed(applied):
                 accountant.adjust_budget(-applied_j)
             raise
-        self.transfers.append(recorded)
-        # Adjustments landed on the scalar accountants; pooled rows
-        # must see the same effective budgets on their next step.  (On
-        # the ContractError edge above the compensation restored the
-        # pre-plan values, which the pool already holds.)
-        if self.accounting_merge is not None:
-            self.accounting_merge()
+        self.rebalances += 1
         return recorded
 
     def rebalance(self) -> Dict[str, float]:
@@ -990,6 +950,6 @@ class SessionManager:
             "global_budget_j": self.global_budget_j,
             "committed_budget_j": self.committed_budget_j,
             "available_budget_j": self.available_budget_j,
-            "rebalances": len(self.transfers),
+            "rebalances": self.rebalances,
             "snapshots_stored": len(self.store),
         }

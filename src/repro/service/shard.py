@@ -229,8 +229,6 @@ class ShardRouter(LineServer):
         metrics_port: int = 0,
         worker_ready_timeout_s: float = 60.0,
         python: Optional[str] = None,
-        exec_mode: str = "scalar",
-        vexec_solo_after: Optional[int] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("need at least one shard")
@@ -239,11 +237,7 @@ class ShardRouter(LineServer):
             raise ValueError("rebalance period must be >= 1")
         if not 0.0 < transfer_fraction <= 1.0:
             raise ValueError("transfer_fraction must be in (0, 1]")
-        if exec_mode not in ("scalar", "vector"):
-            raise ValueError("exec_mode must be 'scalar' or 'vector'")
         self.n_shards = n_shards
-        self.exec_mode = exec_mode
-        self.vexec_solo_after = vexec_solo_after
         self.budget_j = budget_j
         self.state_dir = state_dir
         self.run_dir = run_dir
@@ -406,13 +400,6 @@ class ShardRouter(LineServer):
             "--reap-interval",
             str(self.reap_interval_s),
         ]
-        if self.exec_mode == "vector":
-            command += ["--exec", "vector"]
-            if self.vexec_solo_after is not None:
-                command += [
-                    "--vexec-solo-after",
-                    str(self.vexec_solo_after),
-                ]
         if self.state_dir is not None:
             command += ["--state-dir", self.state_dir]
         return command

@@ -151,44 +151,6 @@ class ServiceTelemetry:
             "jg_request_seconds",
             "Wall-clock seconds spent handling one request.",
         )
-        self.vexec_flushes = reg.counter(
-            "jg_vexec_flushes_total",
-            "Gather-window flushes executed by the vectorized backend.",
-        )
-        self.vexec_steps = reg.counter(
-            "jg_vexec_steps_total",
-            "Heartbeats stepped through the vectorized pool, ever.",
-        )
-        self.vexec_batch_size = reg.histogram(
-            "jg_vexec_batch_size",
-            "Sessions stepped per vectorized flush.",
-        )
-        self.vexec_gather_seconds = reg.histogram(
-            "jg_vexec_gather_seconds",
-            "Wall-clock seconds from first enqueue to flush start.",
-        )
-        self.vexec_fallbacks = reg.counter(
-            "jg_vexec_fallbacks_total",
-            "Heartbeats served by the scalar fallback path, by reason.",
-            ("reason",),
-        )
-        self.vexec_solo_steps = reg.counter(
-            "jg_vexec_solo_steps_total",
-            "Heartbeats served scalar-side by the uncontended solo "
-            "fast path (a performance regime, not a fallback).",
-        )
-        self.vexec_adopts = reg.counter(
-            "jg_vexec_adopts_total",
-            "Sessions lowered into the vector pool, ever.",
-        )
-        self.vexec_evicts = reg.counter(
-            "jg_vexec_evicts_total",
-            "Sessions written back to scalar objects, ever.",
-        )
-        self.vexec_pooled = reg.gauge(
-            "jg_vexec_pooled_sessions",
-            "Sessions currently resident in the vector pool.",
-        )
 
     @classmethod
     def disabled(cls) -> "ServiceTelemetry":
@@ -286,40 +248,6 @@ class ServiceTelemetry:
         if not self.enabled:
             return
         self.events.append(kind, **fields)
-
-    def record_vexec_flush(
-        self, batch_size: int, gather_seconds: float, steps: int
-    ) -> None:
-        """One vectorized gather-window flush (vexec backend only)."""
-        if not self.enabled:
-            return
-        self.vexec_flushes.inc()
-        self.vexec_steps.inc(steps)
-        self.vexec_batch_size.observe(float(batch_size))
-        self.vexec_gather_seconds.observe(max(0.0, gather_seconds))
-
-    def record_vexec_fallback(self, reason: str) -> None:
-        if not self.enabled:
-            return
-        self.vexec_fallbacks.labels(reason).inc()
-
-    def record_vexec_solo(self) -> None:
-        """One heartbeat served by the solo scalar fast path."""
-        if not self.enabled:
-            return
-        self.vexec_solo_steps.inc()
-
-    def record_vexec_adopt(self, pooled: int) -> None:
-        if not self.enabled:
-            return
-        self.vexec_adopts.inc()
-        self.vexec_pooled.set(pooled)
-
-    def record_vexec_evict(self, pooled: int) -> None:
-        if not self.enabled:
-            return
-        self.vexec_evicts.inc()
-        self.vexec_pooled.set(pooled)
 
     def record_request(
         self, request_type: str, ok: bool, seconds: float

@@ -6,9 +6,9 @@ with no stream reader, per-request task or lock:
 
 * :class:`LineConnection` serves one client of a :class:`LineServer`
   (the daemon, the shard router).  Replies leave in request order.
-  While nothing is queued, a synchronous answer (the scalar daemon's
+  While nothing is queued, a synchronous answer (the daemon's
   ``handle_line``) is written from ``data_received``; what must
-  suspend (the router, vexec, chaos delays, THROTTLE holds) is awaited
+  suspend (the router, chaos delays, THROTTLE holds) is awaited
   by the connection's one long-lived task, later lines queued behind
   it.  Reading pauses at 64 queued lines, answering while the write
   buffer is full.  A disconnect cancels the request in flight and

@@ -1,5 +1,8 @@
 """Service-level chaos: lossy transport, retries, idempotent replay."""
 
+import socket
+import threading
+
 import pytest
 
 from repro.faults import run_service_chaos
@@ -239,3 +242,72 @@ class TestRetryPolicy:
             RetryPolicy(base_delay_s=1.0, max_delay_s=0.5)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
+
+
+class TestDuplicateRidInFlight:
+    """Two connections send one rid'd step while both are suspended.
+
+    A chaos plan that delays every request parks both copies in the
+    daemon at once; the first to wake executes and caches, the second
+    must replay that answer instead of stepping the session again.
+    """
+
+    def test_concurrent_duplicate_rid_executes_once(self, tmp_path):
+        sock = str(tmp_path / "dup.sock")
+        manager = SessionManager(global_budget_j=1e6)
+        session = manager.open_session(
+            machine_name="tablet",
+            app_name="x264",
+            factor=1.5,
+            total_work=1e4,
+            warm_start=False,
+        )
+        chaos = FaultPlan(
+            name="slow",
+            seed=0,
+            network=NetworkFaults(delay_prob=1.0, delay_s=0.3),
+        ).request_chaos()
+        line = encode_message(
+            {
+                "type": "step",
+                "rid": "dup-1",
+                "session": session.session_id,
+                "measurement": {
+                    "work": 1.0,
+                    "energy_j": 0.5,
+                    "rate": 10.0,
+                    "power_w": 5.0,
+                },
+            }
+        )
+        replies = [b"", b""]
+
+        def send(index, connection):
+            with connection, connection.makefile("rwb") as stream:
+                stream.write(line)
+                stream.flush()
+                replies[index] = stream.readline()
+
+        with ServerThread(manager, unix_path=sock, chaos=chaos) as thread:
+            connections = []
+            for _ in range(2):
+                connection = socket.socket(socket.AF_UNIX)
+                connection.settimeout(30.0)
+                connection.connect(sock)
+                connections.append(connection)
+            senders = [
+                threading.Thread(target=send, args=(index, connection))
+                for index, connection in enumerate(connections)
+            ]
+            for sender in senders:
+                sender.start()
+            for sender in senders:
+                sender.join(30.0)
+                assert not sender.is_alive()
+            server = thread.server
+            assert chaos.delays == 2  # both copies were suspended
+            assert server.replayed_responses == 1
+        assert replies[0].endswith(b"\n")
+        assert replies[0] == replies[1]
+        assert b'"rid":"dup-1"' in replies[0]
+        assert session.steps == 1  # the duplicate never re-stepped

@@ -67,22 +67,14 @@ def _open_on_both_workers(client):
     raise AssertionError("eight opens never reached the second worker")
 
 
-@pytest.fixture(params=["scalar", "vector"])
-def fleet(tmp_path, request):
-    # The whole crash contract must hold identically under both step
-    # execution backends: a SIGKILL lands on vector workers with
-    # sessions resident in the pool, and the forfeit/restart/guarantee
-    # story may not change by a joule.  The solo fast path would evict
-    # a serially-driven session back to scalar objects, so disable it
-    # — the kill must land while state lives in the pool arrays.
+@pytest.fixture
+def fleet(tmp_path):
     router = ShardRouter(
         n_shards=2,
         budget_j=BUDGET_J,
         unix_path=str(tmp_path / "router.sock"),
         state_dir=str(tmp_path / "store"),
         run_dir=str(tmp_path / "run"),
-        exec_mode=request.param,
-        vexec_solo_after=-1,
     )
     with ShardThread(router):
         with ServiceClient(unix_path=router.unix_path) as client:

@@ -97,7 +97,17 @@ class TestConcurrentSessionsShareOneBudget:
             granted, rel=1e-9
         )
         # Rebalances actually ran (3 sessions x 30 steps, period 10).
-        assert len(manager.transfers) >= 1
+        rounds = manager.rebalances
+        assert rounds >= 1
+        # One more round, driven directly while no request is in
+        # flight: its plan is zero-sum and the count moves by one.
+        plan = manager.rebalance()
+        assert set(plan) == {run.session for run in runs}
+        assert sum(plan.values()) == pytest.approx(0.0, abs=1e-9)
+        assert manager.rebalances == rounds + 1
+        assert manager.committed_budget_j == pytest.approx(
+            granted, rel=1e-9
+        )
 
         # Closing returns unspent grants to the pool.
         with client_for(sock) as client:

@@ -10,12 +10,6 @@ heartbeats at the default rebalance period of 25) that several
 cross-session rebalances happen mid-run, so the router's
 scatter/merge/plan/apply pipeline is exercised against the manager's
 in-line cadence, not just the easy steady state.
-
-The same script also runs through the vectorized execution backend
-(``--exec vector``) — single-process and sharded — and must again
-match the single-process *scalar* trace exactly: adopt/evict around
-the mid-run snapshot, a kill landing while the session is pooled, the
-warm-started second wave, and every rebalance boundary.
 """
 
 import pytest
@@ -91,70 +85,9 @@ def sharded(tmp_path_factory):
         yield router, trace
 
 
-@pytest.fixture(scope="module")
-def single_vector(tmp_path_factory):
-    store = SnapshotStore(
-        directory=tmp_path_factory.mktemp("vsingle-store")
-    )
-    sock = str(tmp_path_factory.mktemp("vsingle") / "jg.sock")
-    manager = SessionManager(global_budget_j=BUDGET_J, store=store)
-    # Lockstep drives are serial (one heartbeat in flight), which is
-    # exactly the regime the solo fast path short-circuits scalar-side.
-    # Disable it so the equivalence claim covers the pooled numpy step.
-    with ServerThread(
-        manager, unix_path=sock, exec_mode="vector", vexec_solo_after=-1
-    ) as thread:
-        with ServiceClient(unix_path=sock) as client:
-            trace = run_script(client, SCRIPT)
-        vexec = thread.server.vexec
-        yield trace, vexec.flushes, vexec.fallbacks
-
-
-@pytest.fixture(scope="module")
-def sharded_vector(tmp_path_factory):
-    run_dir = tmp_path_factory.mktemp("vshard-run")
-    router = ShardRouter(
-        n_shards=2,
-        budget_j=BUDGET_J,
-        unix_path=str(run_dir / "router.sock"),
-        state_dir=str(tmp_path_factory.mktemp("vshard-store")),
-        run_dir=str(run_dir),
-        exec_mode="vector",
-        # Serial drive: keep sessions pool-resident (see single_vector).
-        vexec_solo_after=-1,
-    )
-    with ShardThread(router):
-        with ServiceClient(unix_path=router.unix_path) as client:
-            trace = run_script(client, SCRIPT)
-        yield router, trace
-
-
 def test_traces_identical_decision_for_decision(single_trace, sharded):
     _, shard_trace = sharded
     assert_traces_equal(single_trace, shard_trace)
-
-
-def test_vector_single_process_matches_scalar(
-    single_trace, single_vector
-):
-    trace, flushes, fallbacks = single_vector
-    assert_traces_equal(single_trace, trace)
-    assert flushes > 0, "the vector engine never actually ran"
-    assert fallbacks == 0, (
-        "the script needs no scalar fallbacks; any here means a "
-        "session failed adoption"
-    )
-
-
-def test_vector_sharded_matches_scalar(single_trace, sharded_vector):
-    _, trace = sharded_vector
-    assert_traces_equal(single_trace, trace)
-
-
-def test_vector_sharded_ledger_stayed_balanced(sharded_vector):
-    router, _ = sharded_vector
-    router.ledger.assert_balanced()
-    assert router.ledger.forfeited_uj == 0
 
 
 def test_script_reached_every_interesting_event(single_trace):

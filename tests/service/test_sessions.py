@@ -167,16 +167,30 @@ class TestBudgetInvariant:
         mgr = manager(rebalance_period=5)
         sessions = [open_default(mgr, seed=seed) for seed in range(3)]
         total_before = mgr.committed_budget_j
+        # Session 0 spends 30 % over its per-work share, so it needs
+        # joules the other two can spare.
+        hot = Measurement(
+            work=1.0,
+            energy_j=1.3 * sessions[0].granted_budget_j / 50.0,
+            rate=30.0,
+            power_w=18.0,
+        )
+        plans = []
         for _ in range(10):
             for session in sessions:
-                mgr.step(session.session_id, MEASUREMENT)
-        assert len(mgr.transfers) >= 1
+                heartbeat = hot if session is sessions[0] else MEASUREMENT
+                mgr.step(session.session_id, heartbeat)
+            plans.append(mgr.rebalance())
+        # Ten explicit rounds on top of the in-line cadence's.
+        assert mgr.rebalances >= len(plans) + 1
+        assert mgr.stats()["rebalances"] == mgr.rebalances
         assert mgr.committed_budget_j == pytest.approx(
             total_before, rel=1e-9
         )
-        # Every recorded transfer round is itself zero-sum.
-        for deltas in mgr.transfers:
-            assert sum(deltas.values()) == pytest.approx(0.0, abs=1e-9)
+        # Every transfer round is itself zero-sum.
+        assert any(any(plan.values()) for plan in plans)
+        for plan in plans:
+            assert sum(plan.values()) == pytest.approx(0.0, abs=1e-9)
 
     def test_rebalance_skips_underwater_needers(self):
         mgr = manager(rebalance_period=10_000)

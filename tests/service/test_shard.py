@@ -114,29 +114,6 @@ class TestRouterConstruction:
         assert command[command.index("--session-prefix") + 1] == "w0e0-"
         assert "--state-dir" in command
 
-    def test_worker_command_carries_the_exec_backend(self, tmp_path):
-        vector = ShardRouter(
-            n_shards=1,
-            budget_j=1.0,
-            unix_path=str(tmp_path / "r.sock"),
-            exec_mode="vector",
-        )
-        command = vector._worker_command(
-            str(tmp_path / "w0e0.sock"), "w0e0-"
-        )
-        assert command[command.index("--exec") + 1] == "vector"
-        scalar = ShardRouter(
-            n_shards=1, budget_j=1.0, unix_path=str(tmp_path / "r.sock")
-        )
-        assert "--exec" not in scalar._worker_command(
-            str(tmp_path / "w0e0.sock"), "w0e0-"
-        )
-        with pytest.raises(ValueError):
-            ShardRouter(
-                n_shards=1, budget_j=1.0, unix_path="/tmp/x",
-                exec_mode="turbo",
-            )
-
     def test_ledger_starts_with_the_full_budget_unleased(self):
         router = ShardRouter(
             n_shards=4, budget_j=250.0, unix_path="/tmp/unused.sock"
