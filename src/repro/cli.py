@@ -267,115 +267,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Profile the canned service workload with cProfile.
-
-    The workload is the daemon's step hot path, in-process (no
-    sockets): N sessions driven round-robin for S heartbeats each,
-    through ``handle_line`` — exactly what the throughput bench times,
-    so hot-path claims in BENCH files can be checked against a named
-    function list.
-    """
-    import cProfile
-    import json as jsonlib
-    import pstats
-
-    from .service import (
-        ServiceServer,
-        SessionManager,
-        SnapshotStore,
-        encode_message,
-    )
-
-    manager = SessionManager(
-        global_budget_j=1e9, store=SnapshotStore()
-    )
-    server = ServiceServer(
-        manager, unix_path="/unused-profile.sock"
-    )
-    session_ids = [
-        manager.open_session(
-            machine_name=args.machine,
-            app_name=args.app,
-            factor=args.factor,
-            # Enough work that no session retires mid-profile, small
-            # enough that N sessions always fit the global budget.
-            total_work=2.0 * args.steps + 100.0,
-            seed=seed,
-        ).session_id
-        for seed in range(args.sessions)
-    ]
-    measurement = {
-        "work": 1.0,
-        "energy_j": 0.5,
-        "rate": 10.0,
-        "power_w": 5.0,
-    }
-    profiler = cProfile.Profile()
-    lines = [
-        encode_message(
-            {
-                "type": "step",
-                "session": sid,
-                "measurement": measurement,
-            }
-        )
-        for _ in range(args.steps)
-        for sid in session_ids
-    ]
-    profiler.enable()
-    for line in lines:
-        server.handle_line(line)
-    profiler.disable()
-
-    stats = pstats.Stats(profiler)
-    heartbeats = args.steps * args.sessions
-    if args.json:
-        rows = []
-        for (path, lineno, name), record in stats.stats.items():
-            cc, nc, tottime, cumtime, _ = record
-            rows.append(
-                {
-                    "function": name,
-                    "file": path,
-                    "line": lineno,
-                    "ncalls": nc,
-                    "tottime_s": round(tottime, 6),
-                    "cumtime_s": round(cumtime, 6),
-                }
-            )
-        rows.sort(key=lambda row: row["cumtime_s"], reverse=True)
-        print(
-            jsonlib.dumps(
-                {
-                    "workload": {
-                        "machine": args.machine,
-                        "app": args.app,
-                        "factor": args.factor,
-                        "sessions": args.sessions,
-                        "steps_per_session": args.steps,
-                        "heartbeats": heartbeats,
-                    },
-                    "total_s": round(stats.total_tt, 6),
-                    "steps_per_s": round(
-                        heartbeats / max(stats.total_tt, 1e-12), 1
-                    ),
-                    "top": rows[: args.top],
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(
-            f"profiled {heartbeats} heartbeats "
-            f"({args.sessions} sessions x {args.steps} steps): "
-            f"{stats.total_tt:.3f} s, "
-            f"{heartbeats / max(stats.total_tt, 1e-12):,.0f} steps/s"
-        )
-        stats.sort_stats("cumulative").print_stats(args.top)
-    return 0
-
-
 def _cmd_dash(args: argparse.Namespace) -> int:
     from .obs.dash import run_dash
     from .service import ServiceError
@@ -817,32 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a listener facing untrusted clients)",
     )
     serve_cmd.set_defaults(func=_cmd_serve)
-
-    profile_cmd = sub.add_parser(
-        "profile",
-        help="cProfile the daemon's step hot path on a canned workload",
-    )
-    profile_cmd.add_argument("--machine", default="tablet",
-                             choices=["mobile", "tablet", "server"])
-    profile_cmd.add_argument("--app", default="x264")
-    profile_cmd.add_argument("--factor", type=float, default=1.5)
-    profile_cmd.add_argument(
-        "--sessions", type=int, default=8,
-        help="concurrent sessions driven round-robin",
-    )
-    profile_cmd.add_argument(
-        "--steps", type=int, default=2000,
-        help="heartbeats per session",
-    )
-    profile_cmd.add_argument(
-        "--top", type=int, default=25,
-        help="functions shown, hottest (by cumulative time) first",
-    )
-    profile_cmd.add_argument(
-        "--json", action="store_true",
-        help="machine-readable output instead of the pstats table",
-    )
-    profile_cmd.set_defaults(func=_cmd_profile)
 
     dash_cmd = sub.add_parser(
         "dash", help="live ascii dashboard over a running daemon"

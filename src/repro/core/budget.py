@@ -109,6 +109,11 @@ class BudgetAccountant:
         return self.goal.budget_j + self.adjustment_j
 
     @property
+    def overdraft_j(self) -> float:
+        """How far the spend already exceeds the effective budget."""
+        return max(0.0, self.energy_used_j - self.effective_budget_j)
+
+    @property
     def remaining_work(self) -> float:
         return max(0.0, self.goal.total_work - self.work_done)
 

@@ -95,6 +95,96 @@ def split_budget(
     return {name: weight * scale for name, weight in weights.items()}
 
 
+def plan_rebalance(
+    surpluses: Mapping[str, float],
+    overdrafts: Mapping[str, float],
+    transfer_fraction: float,
+) -> Dict[str, float]:
+    """Pure transfer plan: per-account budget deltas, summing to zero.
+
+    ``surpluses`` maps each account (an application, a service
+    session) to its forecast surplus (negative = deficit);
+    ``overdrafts`` maps it to how far its spend already exceeds its
+    budget (0 when healthy).  A ``transfer_fraction`` share of the
+    donors' total surplus, capped at the needers' total deficit, moves
+    pro rata from donors to needers.  The iteration order of
+    ``surpluses`` is the order of the plan, so equal inputs in equal
+    order give bit-identical deltas — which is what lets the shard
+    router plan for every worker at once exactly as one process would.
+    """
+    donors = {s: v for s, v in surpluses.items() if v > 0}
+    needers = {s: -v for s, v in surpluses.items() if v < 0}
+    deltas = {account: 0.0 for account in surpluses}
+    while donors and needers:
+        available = sum(donors.values()) * transfer_fraction
+        needed = sum(needers.values())
+        moved = min(available, needed)
+        if moved <= 0:
+            break
+        # A grant below an account's overdraft cannot lift it back
+        # above water and the accountant rejects it (an effective
+        # budget may never end up under what is already spent), so
+        # drop such needers and re-split among the rest.
+        undersized = [
+            account
+            for account, deficit in needers.items()
+            if moved * deficit / needed
+            < overdrafts.get(account, 0.0) - 1e-9
+        ]
+        if undersized:
+            for account in undersized:
+                del needers[account]
+            continue
+        donor_total = sum(donors.values())
+        for account, surplus in donors.items():
+            deltas[account] -= moved * surplus / donor_total
+        for account, deficit in needers.items():
+            deltas[account] += moved * deficit / needed
+        break
+    return deltas
+
+
+def apply_rebalance_plan(
+    accountants: Mapping[str, BudgetAccountant],
+    deltas: Mapping[str, float],
+) -> Dict[str, float]:
+    """Apply a transfer plan all-or-nothing; return what was applied.
+
+    Donations are applied before grants, each in plan order.  Exact-zero
+    deltas and accounts missing from ``accountants`` are skipped (a
+    shard worker is handed only its slice, but may be handed ids it
+    has already closed).  If the accountant's contract rejects a
+    transfer mid-plan, the transfers already applied are compensated
+    before re-raising, so the sum of effective budgets stays invariant
+    on the exception edge too (jgflow JGF301's sanctioned rollback
+    idiom).
+    """
+    applied: List[Tuple[BudgetAccountant, float]] = []
+    recorded = {
+        account: 0.0 for account in deltas if account in accountants
+    }
+    try:
+        for phase in (0, 1):  # 0: donations out, 1: grants in
+            for account, delta_j in deltas.items():
+                if account not in accountants:
+                    continue
+                if delta_j == 0.0:  # jglint: disable=JG004
+                    # Exact zero means "no transfer", never a rounding
+                    # artifact: plans carry literal 0.0.
+                    continue
+                if (delta_j > 0.0) != bool(phase):
+                    continue
+                accountant = accountants[account]
+                accountant.adjust_budget(delta_j)
+                applied.append((accountant, delta_j))
+                recorded[account] += delta_j
+    except ContractError:
+        for accountant, applied_j in reversed(applied):
+            accountant.adjust_budget(-applied_j)
+        raise
+    return recorded
+
+
 class MultiAppCoordinator:
     """Coordinates several runtimes against one global energy budget.
 
@@ -150,7 +240,7 @@ class MultiAppCoordinator:
         self.transfer_fraction = transfer_fraction
         self.smoothing = smoothing
         self._steps_since_rebalance = 0
-        self.transfers: List[Dict[str, float]] = []
+        self.rebalances = 0
 
     # -- delegation -------------------------------------------------------------
     def current_decision(self, name: str) -> Decision:
@@ -235,14 +325,6 @@ class MultiAppCoordinator:
         projected = state.recent_epw * accountant.remaining_work
         return accountant.remaining_energy_j - projected
 
-    def _overdraft_j(self, name: str) -> float:
-        """How far an application's spend already exceeds its budget."""
-        accountant = self._apps[name].runtime.accountant
-        return max(
-            0.0,
-            accountant.energy_used_j - accountant.effective_budget_j,
-        )
-
     def rebalance(self) -> Dict[str, float]:
         """Move surplus joules from under-spenders to strainers.
 
@@ -254,55 +336,19 @@ class MultiAppCoordinator:
             name: self._forecast_surplus(state)
             for name, state in self._apps.items()
         }
-        donors = {n: s for n, s in surpluses.items() if s > 0}
-        needers = {n: -s for n, s in surpluses.items() if s < 0}
-        deltas = {name: 0.0 for name in self._apps}
-        while donors and needers:
-            available = sum(donors.values()) * self.transfer_fraction
-            needed = sum(needers.values())
-            moved = min(available, needed)
-            if moved <= 0:
-                break
-            # A grant below an application's overdraft cannot lift it
-            # back above water and the accountant rejects it (an
-            # effective budget may never end up under what is already
-            # spent), so drop such needers and re-split among the rest.
-            undersized = [
-                name
-                for name, deficit in needers.items()
-                if moved * deficit / needed
-                < self._overdraft_j(name) - 1e-9
-            ]
-            if undersized:
-                for name in undersized:
-                    del needers[name]
-                continue
-            donor_total = sum(donors.values())
-            # All-or-nothing application of the transfer plan: a
-            # contract rejection mid-plan compensates the transfers
-            # already applied before re-raising, keeping the sum of
-            # effective budgets invariant on the exception edge too
-            # (jgflow JGF301's sanctioned rollback idiom).
-            applied: List[Tuple[BudgetAccountant, float]] = []
-            try:
-                for name, surplus in donors.items():
-                    share_j = moved * surplus / donor_total
-                    accountant = self._apps[name].runtime.accountant
-                    accountant.adjust_budget(-share_j)
-                    applied.append((accountant, -share_j))
-                    deltas[name] -= share_j
-                for name, deficit in needers.items():
-                    share_j = moved * deficit / needed
-                    accountant = self._apps[name].runtime.accountant
-                    accountant.adjust_budget(share_j)
-                    applied.append((accountant, share_j))
-                    deltas[name] += share_j
-            except ContractError:
-                for accountant, applied_j in reversed(applied):
-                    accountant.adjust_budget(-applied_j)
-                raise
-            break
-        self.transfers.append(deltas)
+        accountants = {
+            name: state.runtime.accountant
+            for name, state in self._apps.items()
+        }
+        overdrafts = {
+            name: accountant.overdraft_j
+            for name, accountant in accountants.items()
+        }
+        deltas = plan_rebalance(
+            surpluses, overdrafts, self.transfer_fraction
+        )
+        apply_rebalance_plan(accountants, deltas)
+        self.rebalances += 1
         return deltas
 
     # -- accounting invariants ---------------------------------------------------------

@@ -20,9 +20,19 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    Optional,
+    Union,
+    cast,
+)
 
 from ..obs.http import MetricsHTTPServer
 from .protocol import (
@@ -46,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "RID_CACHE_MAX",
+    "RidCache",
     "ServerThread",
     "ServiceServer",
     "serve",
@@ -53,6 +64,107 @@ __all__ = [
 
 #: Upper bound on cached idempotent responses (oldest evicted first).
 RID_CACHE_MAX = 1024
+
+#: An answer to one request line: a response dict, or (shard router
+#: only) a worker's ok reply line relayed as it came.
+Response = Union[Dict[str, Any], bytes]
+
+
+class RidCache:
+    """The rid contract: a request carrying a ``rid`` executes once.
+
+    The first execution's ok reply is kept in an LRU of
+    :data:`RID_CACHE_MAX` entries and a retried rid is answered from
+    it (:meth:`replay`) without re-executing.  Error envelopes are
+    never cached: a retry should re-attempt the operation, since the
+    failure may have been transient.  A dict reply is cached stamped
+    with its rid; a relayed ``bytes`` reply already carries it and is
+    cached as it came.
+
+    The daemon answers each line without awaiting, so a duplicate
+    runs wholly before or after its original: :meth:`replay` and
+    :meth:`store` are all it needs.  The shard router suspends at the
+    worker round-trip, so it goes through :meth:`run`, which also
+    *reserves* the rid for the length of the execution: a duplicate
+    arriving meanwhile (a client that timed out and reconnected)
+    awaits the original's reply instead of re-executing a
+    non-idempotent verb like ``step``.
+    """
+
+    def __init__(self) -> None:
+        #: rid → cached ok reply, least recently used first.
+        self.replies: "OrderedDict[str, Response]" = OrderedDict()
+        #: rid → the reply of the execution holding its reservation.
+        self.inflight: Dict[str, "asyncio.Future[Response]"] = {}
+        #: Requests answered from a cached or in-flight reply.
+        self.replayed = 0
+
+    def replay(self, rid: str) -> Optional[Response]:
+        """The cached reply to ``rid``, counted as a replay, or ``None``."""
+        reply = self.replies.get(rid)
+        if reply is not None:
+            self.replayed += 1
+            self.replies.move_to_end(rid)
+        return reply
+
+    def store(self, rid: str, response: Response) -> Response:
+        """Cache an ok ``response`` to ``rid``; return the one to send."""
+        if isinstance(response, dict):
+            if not response.get("ok", False):
+                return response
+            response = dict(response, rid=rid)
+        self.replies[rid] = response
+        while len(self.replies) > RID_CACHE_MAX:
+            self.replies.popitem(last=False)
+        return response
+
+    async def run(
+        self, rid: str, execute: Callable[[], Awaitable[Response]]
+    ) -> Response:
+        """Answer ``rid`` from the cache, its reservation, or ``execute``.
+
+        A reservation lives only as long as the execution holding it:
+        when that is cancelled (the transport cancels a dispatch the
+        moment its client vanishes), the reservation expires and the
+        duplicates parked on it wake, re-check the cache and the
+        reservations, and the first of them executes afresh; the rest
+        park on that execution.  A relayed original that had reached
+        its worker is answered there from the worker's own rid cache,
+        so the session is not stepped twice.
+        """
+        while True:
+            reply = self.replay(rid)
+            if reply is not None:
+                return reply
+            inflight = self.inflight.get(rid)
+            if inflight is None:
+                break
+            self.replayed += 1
+            try:
+                return await asyncio.shield(inflight)
+            except asyncio.CancelledError:
+                if not inflight.cancelled():
+                    raise
+                # The original execution was abandoned.  Loop to
+                # re-check: another parked duplicate may have
+                # re-reserved the rid first, and a second execution
+                # would double-step the session.
+        future: "asyncio.Future[Response]" = (
+            asyncio.get_running_loop().create_future()
+        )
+        self.inflight[rid] = future
+        try:
+            response = self.store(rid, await execute())
+            if not future.done():
+                future.set_result(response)
+            return response
+        finally:
+            if self.inflight.get(rid) is future:
+                del self.inflight[rid]
+            if not future.done():
+                # Cancelled mid-execution: wake the parked duplicates
+                # rather than leaving them parked forever.
+                future.cancel()
 
 
 class ServiceServer(LineServer):
@@ -109,10 +221,9 @@ class ServiceServer(LineServer):
         self.admin = admin
         self._metrics_http: Optional[MetricsHTTPServer] = None
         self._reaper: Optional[asyncio.Task] = None
-        self.replayed_responses = 0
+        self.rids = RidCache()
         self.chaos_dropped_requests = 0
         self.chaos_dropped_responses = 0
-        self._rid_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> None:
@@ -197,13 +308,9 @@ class ServiceServer(LineServer):
     def handle_line(self, line: bytes) -> Dict[str, Any]:
         """Decode, dispatch, and answer one request line.
 
-        Requests carrying a ``rid`` are idempotent: the first execution's
-        response is cached (bounded by :data:`RID_CACHE_MAX`) and a
-        retried ``rid`` is answered from the cache without re-executing.
-        Error envelopes are never cached — a retry should re-attempt the
-        operation, since the failure may have been transient.  Nothing
-        here awaits, so a duplicate rid runs wholly before or after its
-        original and needs no in-flight reservation.
+        A request carrying a ``rid`` is idempotent under the
+        :class:`RidCache` contract; nothing here awaits, so a duplicate
+        rid needs no in-flight reservation.
         """
         started_s = time.perf_counter()
         request_type = "invalid"
@@ -211,21 +318,17 @@ class ServiceServer(LineServer):
         try:
             message = decode_message(line)
             rid = request_id_of(message)
-            if rid is not None and rid in self._rid_cache:
-                self.replayed_responses += 1
-                self._rid_cache.move_to_end(rid)
-                return self._rid_cache[rid]
+            if rid is not None:
+                cached = self.rids.replay(rid)
+                if cached is not None:
+                    return cast(Dict[str, Any], cached)
             request_type, fields = parse_request(message)
             response = self._dispatch(request_type, fields)
         except Exception as exc:  # daemon must answer every request
             response = _error_envelope(exc)
         ok = bool(response.get("ok", False))
         if ok and rid is not None:
-            response = dict(response)
-            response["rid"] = rid
-            self._rid_cache[rid] = response
-            while len(self._rid_cache) > RID_CACHE_MAX:
-                self._rid_cache.popitem(last=False)
+            response = cast(Dict[str, Any], self.rids.store(rid, response))
         self.manager.telemetry.record_request(
             request_type, ok, time.perf_counter() - started_s
         )
@@ -262,6 +365,11 @@ class ServiceServer(LineServer):
             raise ProtocolError(
                 "bad_request", f"invalid open_session field: {exc}"
             ) from exc
+        if not (math.isfinite(factor) and math.isfinite(total_work)):
+            raise ProtocolError(
+                "bad_request",
+                "open_session 'factor' and 'total_work' must be finite",
+            )
         seed = fields.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ProtocolError(

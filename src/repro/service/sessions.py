@@ -43,9 +43,9 @@ from typing import (
 from ..apps import build_application
 from ..apps.base import ApproximateApplication
 from ..core.bandit import SystemEnergyOptimizer
-from ..core.budget import BudgetAccountant, EnergyGoal
-from ..core.contracts import ContractError
+from ..core.budget import EnergyGoal
 from ..core.jouleguard import Decision, JouleGuardRuntime
+from ..core.multi import apply_rebalance_plan, plan_rebalance
 from ..core.types import Measurement
 from ..enforce.ladder import (
     DEFAULT_LADDER,
@@ -68,58 +68,6 @@ __all__ = [
     "SessionManager",
     "plan_rebalance",
 ]
-
-
-def plan_rebalance(
-    surpluses: Dict[str, float],
-    overdrafts: Dict[str, float],
-    transfer_fraction: float,
-) -> Dict[str, float]:
-    """Pure transfer plan: per-session budget deltas, summing to zero.
-
-    The donor/needer math of :meth:`SessionManager.rebalance` (itself
-    mirroring :meth:`repro.core.multi.MultiAppCoordinator.rebalance`),
-    extracted so the shard router can run the *identical* computation
-    over surpluses gathered from every worker: same inputs in the same
-    dict order produce bit-identical deltas, which is what the
-    cross-shard lockstep rig asserts.
-
-    ``surpluses`` maps session id to forecast surplus (negative =
-    deficit); ``overdrafts`` maps session id to how far its spend
-    already exceeds its budget (0 for healthy sessions).  Iteration
-    order of ``surpluses`` is the tie-breaking order of the plan, so
-    callers must present sessions in global open order.
-    """
-    donors = {s: v for s, v in surpluses.items() if v > 0}
-    needers = {s: -v for s, v in surpluses.items() if v < 0}
-    deltas = {session_id: 0.0 for session_id in surpluses}
-    while donors and needers:
-        available = sum(donors.values()) * transfer_fraction
-        needed = sum(needers.values())
-        moved = min(available, needed)
-        if moved <= 0:
-            break
-        # A grant below a session's overdraft cannot lift it back
-        # above water and the accountant rejects it (an effective
-        # budget may never end up under what is already spent), so
-        # drop such needers and re-split among the rest.
-        undersized = [
-            session_id
-            for session_id, deficit in needers.items()
-            if moved * deficit / needed
-            < overdrafts.get(session_id, 0.0) - 1e-9
-        ]
-        if undersized:
-            for session_id in undersized:
-                del needers[session_id]
-            continue
-        donor_total = sum(donors.values())
-        for session_id, surplus in donors.items():
-            deltas[session_id] -= moved * surplus / donor_total
-        for session_id, deficit in needers.items():
-            deltas[session_id] += moved * deficit / needed
-        break
-    return deltas
 
 
 class SessionError(RuntimeError):
@@ -766,11 +714,7 @@ class SessionManager:
             "reclaimed_j": session.reclaimed_j,
             "tier": session.tier.label,
             "throttle_s": session.throttle_s,
-            "hard_overdraft_j": max(
-                0.0,
-                accountant.energy_used_j
-                - accountant.effective_budget_j,
-            ),
+            "hard_overdraft_j": accountant.overdraft_j,
             "enforcement": (
                 session.ladder.as_dict()
                 if session.ladder is not None
@@ -848,14 +792,6 @@ class SessionManager:
         projected = session.recent_epw * accountant.remaining_work
         return accountant.remaining_energy_j - projected
 
-    def _overdraft_j(self, session_id: str) -> float:
-        """How far a session's spend already exceeds its budget."""
-        accountant = self._sessions[session_id].runtime.accountant
-        return max(
-            0.0,
-            accountant.energy_used_j - accountant.effective_budget_j,
-        )
-
     def rebalance_inputs(
         self,
     ) -> Tuple[Dict[str, float], Dict[str, float]]:
@@ -871,8 +807,8 @@ class SessionManager:
             for session_id, session in self._sessions.items()
         }
         overdrafts = {
-            session_id: self._overdraft_j(session_id)
-            for session_id in self._sessions
+            session_id: session.runtime.accountant.overdraft_j
+            for session_id, session in self._sessions.items()
         }
         return surpluses, overdrafts
 
@@ -881,52 +817,30 @@ class SessionManager:
     ) -> Dict[str, float]:
         """Apply a transfer plan all-or-nothing; return what was applied.
 
-        If any grant is rejected by the accountant's contract mid-plan,
-        earlier transfers are compensated before re-raising, so the sum
-        of effective budgets stays invariant on the exception edge too
-        (jgflow JGF301's sanctioned rollback idiom).  Donations are
-        applied before grants — the order the historical in-line
-        rebalance used — and sessions unknown to this manager are
-        ignored (the router sends each worker the full daemon-wide
-        plan; a worker applies its own slice).
+        The shared :func:`~repro.core.multi.apply_rebalance_plan`:
+        donations before grants, rolled back whole if the accountant's
+        contract rejects a transfer.  Sessions unknown to this manager
+        are ignored (the router sends each worker its slice of the
+        daemon-wide plan, which may name a session closed since).
         """
-        applied: List[Tuple[BudgetAccountant, float]] = []
-        recorded = {
-            session_id: 0.0
-            for session_id in deltas
-            if session_id in self._sessions
-        }
-        try:
-            for phase in (0, 1):  # 0: donations out, 1: grants in
-                for session_id, delta_j in deltas.items():
-                    if session_id not in self._sessions:
-                        continue
-                    if delta_j == 0.0:  # jglint: disable=JG004
-                        # Exact zero means "no transfer", never a
-                        # rounding artifact: plans carry literal 0.0.
-                        continue
-                    if (delta_j > 0.0) != bool(phase):
-                        continue
-                    accountant = self._sessions[
-                        session_id
-                    ].runtime.accountant
-                    accountant.adjust_budget(delta_j)
-                    applied.append((accountant, delta_j))
-                    recorded[session_id] += delta_j
-        except ContractError:
-            for accountant, applied_j in reversed(applied):
-                accountant.adjust_budget(-applied_j)
-            raise
+        recorded = apply_rebalance_plan(
+            {
+                session_id: session.runtime.accountant
+                for session_id, session in self._sessions.items()
+            },
+            deltas,
+        )
         self.rebalances += 1
         return recorded
 
     def rebalance(self) -> Dict[str, float]:
         """Move surplus joules between live sessions (conservative).
 
-        Mirrors :meth:`repro.core.multi.MultiAppCoordinator.rebalance`:
-        the sum of effective budgets is invariant, so the daemon-wide
-        guarantee survives any schedule of transfers.  The plan itself
-        is the pure :func:`plan_rebalance`; application is the
+        The same plan-then-apply as
+        :meth:`repro.core.multi.MultiAppCoordinator.rebalance`: the sum
+        of effective budgets is invariant, so the daemon-wide guarantee
+        survives any schedule of transfers.  The plan is the pure
+        :func:`~repro.core.multi.plan_rebalance`; application is the
         all-or-nothing :meth:`apply_rebalance`.
         """
         surpluses, overdrafts = self.rebalance_inputs()

@@ -34,7 +34,7 @@ to microjoule dust.
 ``--external-rebalance``): the router counts heartbeats fleet-wide,
 and on the single-process cadence gathers ``admin_rebalance_inputs``
 from every worker, merges them in *global open order*, computes the
-plan with the very :func:`~repro.service.sessions.plan_rebalance` a
+plan with the very :func:`~repro.core.multi.plan_rebalance` a
 single-process manager uses (bit-identical inputs, bit-identical
 deltas — the cross-shard lockstep rig's core claim), and pushes each
 worker its slice via ``admin_rebalance_apply``.  Client batches are
@@ -73,8 +73,9 @@ import tempfile
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.multi import plan_rebalance
 from ..obs.events import EventLog
 from ..obs.http import MetricsHTTPServer
 from ..obs.registry import MetricsRegistry
@@ -92,8 +93,8 @@ from .protocol import (
     parse_request,
     request_id_of,
 )
-from .server import RID_CACHE_MAX, _error_envelope
-from .sessions import SessionError, plan_rebalance
+from .server import Response, RidCache, _error_envelope
+from .sessions import SessionError
 from .transport import LineChannel, LineServer, LoopThread
 
 __all__ = [
@@ -113,10 +114,6 @@ LEASE_FLOOR_J = 1e-6
 SESSION_PREFIX_RE = re.compile(r"^w(\d+)e(\d+)-")
 
 _RING_VNODES = 64
-
-#: A router answer: a response dict, or a worker's reply line relayed
-#: as it came (always an ``ok`` reply; see :meth:`ShardRouter._relay`).
-Response = Union[Dict[str, Any], bytes]
 
 #: Verbs the router relays: forwarded to the session's worker, the
 #: reply passed back as bytes when it is an ok, not-killed answer.
@@ -257,9 +254,7 @@ class ShardRouter(LineServer):
         self._steps_since_rebalance = 0
         self._rebalance_lock = asyncio.Lock()
         self._restart_lock = asyncio.Lock()
-        self._rid_cache: "OrderedDict[str, Response]" = OrderedDict()
-        self._rid_inflight: Dict[str, "asyncio.Future[Response]"] = {}
-        self.replayed_responses = 0
+        self.rids = RidCache()
         self._metrics_http: Optional[MetricsHTTPServer] = None
         self._owns_run_dir: Optional[tempfile.TemporaryDirectory] = None
 
@@ -675,29 +670,14 @@ class ShardRouter(LineServer):
     async def handle_line(self, line: bytes) -> Response:
         """Decode, route, and answer one request line.
 
-        Identical rid idempotency contract to the single daemon — but
-        owned here: a retry the router has answered never reaches a
-        worker again, even across a router reconnect.  Relayed verbs
-        reach their worker with the rid in the line, so the worker (an
-        ordinary daemon) writes it into its reply and caches that reply
-        too; the other verbs are forwarded stripped of it.  Unlike the
-        single daemon's synchronous dispatch, routing suspends at the
-        worker round-trip, so a rid is
-        *reserved* before the first await: a concurrent retry of the
-        same rid (a client that timed out and reconnected while the
-        original request is still in flight) awaits the original
-        execution's response instead of re-executing a non-idempotent
-        verb like ``step``.
-
-        A reservation lives at most as long as the connection that
-        made it: the transport cancels the dispatch the moment its
-        client vanishes, which unwinds this coroutine and
-        expires the reservation — waiters parked on an expired
-        reservation re-check the maps and the first re-executes
-        fresh; the rest park on that fresh execution.  A relayed
-        original that had reached its worker is answered there from
-        the worker's own rid cache, so the session is not stepped
-        twice.
+        The single daemon's rid contract, owned here through
+        :meth:`RidCache.run`: a retry the router has answered never
+        reaches a worker again, even across a router reconnect, and a
+        duplicate of a request still in flight awaits its reply.
+        Relayed verbs reach their worker with the rid in the line, so
+        the worker (an ordinary daemon) writes it into its reply and
+        caches that reply too; the other verbs are forwarded stripped
+        of it.
         """
         try:
             message = decode_message(line)
@@ -705,48 +685,15 @@ class ShardRouter(LineServer):
         except ProtocolError as exc:
             return error_response(exc.code, exc.message)
         if rid is None:
-            return await self._execute_line(message, rid, line)
-        while True:
-            if rid in self._rid_cache:
-                self.replayed_responses += 1
-                self._rid_cache.move_to_end(rid)
-                return self._rid_cache[rid]
-            inflight = self._rid_inflight.get(rid)
-            if inflight is None:
-                break
-            self.replayed_responses += 1
-            try:
-                return await asyncio.shield(inflight)
-            except asyncio.CancelledError:
-                if not inflight.cancelled():
-                    raise
-                # The original execution was abandoned (its client
-                # vanished and the connection expired the reservation
-                # on close).  Loop to re-check the maps: another
-                # parked retry may have re-reserved the rid first,
-                # and a second execution would double-step the
-                # session on its worker.
-        future: "asyncio.Future[Response]" = (
-            asyncio.get_running_loop().create_future()
+            return await self._execute_line(message, line)
+        return await self.rids.run(
+            rid, lambda: self._execute_line(message, line)
         )
-        self._rid_inflight[rid] = future
-        try:
-            response = await self._execute_line(message, rid, line)
-            if not future.done():
-                future.set_result(response)
-            return response
-        finally:
-            if self._rid_inflight.get(rid) is future:
-                del self._rid_inflight[rid]
-            if not future.done():
-                # Cancelled mid-execution: wake any duplicate waiters
-                # rather than leaving them parked forever.
-                future.cancel()
 
     async def _execute_line(
-        self, message: Dict[str, Any], rid: Optional[str], line: bytes
+        self, message: Dict[str, Any], line: bytes
     ) -> Response:
-        """Dispatch one decoded request; cache ok responses by rid.
+        """Dispatch one decoded request.
 
         A relayed verb is forwarded as the client's own ``line``; the
         worker answers an ok, rid'd request with the rid already in
@@ -761,23 +708,12 @@ class ShardRouter(LineServer):
                 )
             handler = getattr(self, f"_handle_{request_type}")
             if request_type in _RELAYED:
-                response = await handler(message, line)
-            else:
-                response = await handler(
-                    {k: v for k, v in message.items() if k != "rid"}
-                )
+                return await handler(message, line)
+            return await handler(
+                {k: v for k, v in message.items() if k != "rid"}
+            )
         except Exception as exc:  # the router must answer every line
-            response = _error_envelope(exc)
-        if rid is None:
-            return response
-        if isinstance(response, dict):  # bytes: an ok relayed reply
-            if not response.get("ok", False):
-                return response  # errors are never cached
-            response = dict(response, rid=rid)
-        self._rid_cache[rid] = response
-        while len(self._rid_cache) > RID_CACHE_MAX:
-            self._rid_cache.popitem(last=False)
-        return response
+            return _error_envelope(exc)
 
     # -- verb handlers ---------------------------------------------------------
     async def _handle_hello(

@@ -121,7 +121,7 @@ class TestRidIdempotency:
         replay = server.handle_line(self.open_line())
         assert replay == first
         assert replay["rid"] == "rid-1"
-        assert server.replayed_responses == 1
+        assert server.rids.replayed == 1
         # Only one session was actually opened.
         assert server.manager.stats()["sessions_opened"] == 1
 
@@ -130,7 +130,7 @@ class TestRidIdempotency:
         first = server.handle_line(self.open_line("rid-a"))
         second = server.handle_line(self.open_line("rid-b"))
         assert first["session"] != second["session"]
-        assert server.replayed_responses == 0
+        assert server.rids.replayed == 0
 
     def test_error_envelopes_are_not_cached(self):
         server = self.server()
@@ -142,7 +142,7 @@ class TestRidIdempotency:
         first = server.handle_line(bad)
         second = server.handle_line(bad)
         assert not first["ok"] and not second["ok"]
-        assert server.replayed_responses == 0
+        assert server.rids.replayed == 0
 
     def test_invalid_rid_is_rejected(self):
         server = self.server()
@@ -170,10 +170,10 @@ class TestRidIdempotency:
                     }
                 )
             )
-        assert len(server._rid_cache) == RID_CACHE_MAX
+        assert len(server.rids.replies) == RID_CACHE_MAX
         # The oldest entries were evicted, the newest survive.
-        assert "r0" not in server._rid_cache
-        assert f"r{RID_CACHE_MAX + 9}" in server._rid_cache
+        assert "r0" not in server.rids.replies
+        assert f"r{RID_CACHE_MAX + 9}" in server.rids.replies
 
 
 class TestSensorOkPlumbing:
@@ -306,7 +306,7 @@ class TestDuplicateRidInFlight:
                 assert not sender.is_alive()
             server = thread.server
             assert chaos.delays == 2  # both copies were suspended
-            assert server.replayed_responses == 1
+            assert server.rids.replayed == 1
         assert replies[0].endswith(b"\n")
         assert replies[0] == replies[1]
         assert b'"rid":"dup-1"' in replies[0]

@@ -1,6 +1,8 @@
 """Multi-application coordination on the real platform models
 (integration-level counterpart of tests/core/test_multi.py)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,58 @@ class TestTwoAppsOneTablet:
         assert shares["x264"] / shares["bodytrack"] == pytest.approx(
             needs["x264"] / needs["bodytrack"]
         )
+
+
+#: sha256 over every decision and every application's effective budget
+#: after every heartbeat of the skewed two-app tablet run, floats in
+#: ``repr`` (exact round-trip).  Pinned so that a change to the plan or
+#: its application is checked bit-for-bit, not assumed.
+PINNED_TABLET_DIGEST = (
+    "49cf5981d593c983d989957832ad9d84f47af0acca81dfb9eab5e14016b7aded"
+)
+
+
+def test_coordinator_run_matches_pinned_digest(apps):
+    machine = get_machine("tablet")
+    pair = {"x264": apps["x264"], "bodytrack": apps["bodytrack"]}
+    needs = {
+        name: default_energy_per_work(machine, app) * ITERATIONS
+        for name, app in pair.items()
+    }
+    global_budget = sum(needs.values()) / 2.0
+    shares = {
+        "x264": global_budget * 0.65,
+        "bodytrack": global_budget * 0.35,
+    }
+    runtimes, simulators = build_pair(machine, pair, shares, seed=1)
+    coordinator = MultiAppCoordinator(runtimes, rebalance_period=25)
+    digest = hashlib.sha256()
+
+    class Recorder:
+        current_decision = coordinator.current_decision
+
+        def step(self, name, measurement):
+            decision = coordinator.step(name, measurement)
+            budgets = [
+                runtime.accountant.effective_budget_j
+                for runtime in runtimes.values()
+            ]
+            digest.update(
+                repr(
+                    (
+                        name,
+                        decision.system_index,
+                        decision.app_config.index,
+                        decision.speedup_setpoint,
+                        decision.pole,
+                        decision.epsilon,
+                        decision.explored,
+                        decision.feasible,
+                        budgets,
+                    )
+                ).encode()
+            )
+            return decision
+
+    drive(Recorder(), simulators, machine, pair)
+    assert digest.hexdigest() == PINNED_TABLET_DIGEST

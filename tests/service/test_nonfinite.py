@@ -147,3 +147,31 @@ def test_a_batch_with_one_non_finite_entry_is_refused_whole(wire):
     applied = _send(wire, _batch(session, [OK, OK, OK]))
     assert applied["ok"] and applied["completed"] == 3
     assert _steps(wire, session) == 3
+
+
+#: ``open_session`` fields as raw JSON text, one non-finite each.
+NON_FINITE_OPEN = [
+    ("factor", "NaN"),
+    ("total_work", "NaN"),
+    ("factor", "1e999"),
+    ("total_work", "1e999"),
+]
+
+
+@pytest.mark.parametrize("field, literal", NON_FINITE_OPEN)
+def test_a_non_finite_open_session_field_is_a_bad_request(
+    wire, field, literal
+):
+    fields = {"factor": "1.5", "total_work": "200.0"}
+    fields[field] = literal
+    before = _send(wire, '{"type": "hello"}')["sessions"]
+    refused = _send(wire, (
+        '{"type": "open_session", "machine": "tablet", "app": "x264", '
+        f'"factor": {fields["factor"]}, '
+        f'"total_work": {fields["total_work"]}, '
+        '"seed": 3, "warm_start": false}'
+    ))
+    assert not refused["ok"]
+    assert refused["error"]["code"] == "bad_request", refused
+    assert "finite" in refused["error"]["message"]
+    assert _send(wire, '{"type": "hello"}')["sessions"] == before

@@ -221,12 +221,12 @@ def test_unavailable_after_a_worker_crash_is_never_cached(router):
     line = json.dumps(_step(session, 0.002 * granted_j, "crash")) + "\n"
     first = json.loads(wire.send(line.encode()))
     assert first["error"]["code"] == "unavailable"
-    assert "crash" not in router._rid_cache
+    assert "crash" not in router.rids.replies
     # The retry is not replayed: it reaches the restarted worker's
     # epoch check and finds the session gone.
     second = json.loads(wire.send(line.encode()))
     assert second["error"]["code"] == "unknown_session"
-    assert "crash" not in router._rid_cache
+    assert "crash" not in router.rids.replies
 
 
 def test_an_abandoned_rid_steps_its_session_once(router):

@@ -224,7 +224,7 @@ class TestRidInflightCoalescing:
         assert len(calls) == 1
         assert first["decision"] == second["decision"] == 7
         assert first["rid"] == second["rid"] == "retry-1"
-        assert router.replayed_responses == 1
+        assert router.rids.replayed == 1
 
     def test_cached_response_still_replays_after_completion(self):
         import asyncio
@@ -249,8 +249,8 @@ class TestRidInflightCoalescing:
         first, second = asyncio.run(scenario())
         assert len(calls) == 1
         assert first == second
-        assert router.replayed_responses == 1
-        assert router._rid_inflight == {}
+        assert router.rids.replayed == 1
+        assert router.rids.inflight == {}
 
     def test_error_responses_are_not_coalesced_into_the_cache(self):
         import asyncio
@@ -278,7 +278,7 @@ class TestRidInflightCoalescing:
         assert first["ok"] is False
         assert second["ok"] is True
         assert len(attempts) == 2  # the error was never cached
-        assert router._rid_inflight == {}
+        assert router.rids.inflight == {}
 
     def test_cancelled_execution_reexecutes_duplicate_waiters(self):
         # When the original execution is abandoned (its connection
@@ -310,11 +310,11 @@ class TestRidInflightCoalescing:
             await asyncio.sleep(0)
             await asyncio.sleep(0)
             assert len(calls) == 2  # the retry re-executed
-            assert "retry-4" in router._rid_inflight
+            assert "retry-4" in router.rids.inflight
             second.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await second
-            assert router._rid_inflight == {}
+            assert router.rids.inflight == {}
 
         asyncio.run(scenario())
 
@@ -369,14 +369,14 @@ class TestRidExpiryOnConnectionClose:
                 )
                 await writer.drain()
                 await asyncio.wait_for(started.wait(), timeout=5.0)
-                assert "gone-1" in router._rid_inflight
+                assert "gone-1" in router.rids.inflight
                 writer.close()
                 await writer.wait_closed()
                 for _ in range(500):
-                    if "gone-1" not in router._rid_inflight:
+                    if "gone-1" not in router.rids.inflight:
                         break
                     await asyncio.sleep(0.01)
-                assert "gone-1" not in router._rid_inflight
+                assert "gone-1" not in router.rids.inflight
                 assert unwound, "dispatch was not cancelled"
             finally:
                 server.close()
@@ -425,10 +425,10 @@ class TestRidExpiryOnConnectionClose:
                 writer.close()
                 await writer.wait_closed()
                 for _ in range(500):
-                    if not router._rid_inflight:
+                    if not router.rids.inflight:
                         break
                     await asyncio.sleep(0.01)
-                assert router._rid_inflight == {}
+                assert router.rids.inflight == {}
                 await asyncio.sleep(0.05)
                 # Only the request that was already executing ever
                 # reached dispatch; the pipelined rest died with the
