@@ -40,6 +40,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from ..apps import build_application
 from ..apps.base import ApproximateApplication
 from ..core.bandit import SystemEnergyOptimizer
@@ -245,11 +247,14 @@ class SessionManager:
         self.sessions_degraded = 0
         self.sessions_killed = 0
         self.warm_start_failures = 0
-        self.budget_revisions: List[Dict[str, float]] = []
+        #: Global budget revisions applied, ever (each also logs a
+        #: ``budget_revision`` event).
+        self.budget_revisions = 0
         self._admission_cache: Dict[
             Tuple[str, str], Tuple[float, float]
         ] = {}
         self._machines: Dict[str, Machine] = {}
+        self._priors: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._apps: Dict[str, ApproximateApplication] = {}
         self._record_pool()
 
@@ -292,6 +297,17 @@ class SessionManager:
                     "unknown_machine", f"unknown machine {name!r}"
                 ) from exc
         return self._machines[name]
+
+    def _prior_shapes(
+        self, machine: Machine
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`prior_shapes`, computed once per machine (read-only)."""
+        if machine.name not in self._priors:
+            shapes = prior_shapes(machine)
+            for shape in shapes:
+                shape.setflags(write=False)
+            self._priors[machine.name] = shapes
+        return self._priors[machine.name]
 
     def _app(self, name: str) -> ApproximateApplication:
         if name not in self._apps:
@@ -369,7 +385,7 @@ class SessionManager:
                 },
             )
 
-        rate_shape, power_shape = prior_shapes(machine)
+        rate_shape, power_shape = self._prior_shapes(machine)
         seo = SystemEnergyOptimizer(
             rate_shape, power_shape, seed=seed + 1
         )
@@ -662,28 +678,25 @@ class SessionManager:
         the daemon.  The pool can grow freely, but it can never shrink
         below what is already spent or promised — burned joules are
         gone and grants are contracts — so a cut is clamped to
-        ``spent + committed``.  Each revision is recorded in
-        :attr:`budget_revisions`.
+        ``spent + committed``.  Each revision is counted in
+        :attr:`budget_revisions` and logged as a ``budget_revision``
+        event.
         """
         if new_budget_j <= 0:
             raise ValueError("global budget must be positive")
         floor_j = self._spent_closed_j + self.committed_budget_j
         applied_j = max(new_budget_j, floor_j)
-        self.budget_revisions.append(
-            {
-                "requested_j": new_budget_j,
-                "applied_j": applied_j,
-                "previous_j": self.global_budget_j,
-            }
-        )
+        previous_j = self.global_budget_j
+        self.budget_revisions += 1
         # Baselined JGF301: a deliberate absolute revision (operator /
-        # battery event); the clamp above plus budget_revisions is the
-        # audit trail standing in for a zero-sum proof.
+        # battery event); the clamp above plus the budget_revision
+        # event is the audit trail standing in for a zero-sum proof.
         self.global_budget_j = applied_j
         self.telemetry.record_event(
             "budget_revision",
             requested_j=new_budget_j,
             applied_j=applied_j,
+            previous_j=previous_j,
         )
         self._record_pool()
         return applied_j
@@ -860,7 +873,7 @@ class SessionManager:
             "sessions_degraded": self.sessions_degraded,
             "sessions_killed": self.sessions_killed,
             "warm_start_failures": self.warm_start_failures,
-            "budget_revisions": len(self.budget_revisions),
+            "budget_revisions": self.budget_revisions,
             "global_budget_j": self.global_budget_j,
             "committed_budget_j": self.committed_budget_j,
             "available_budget_j": self.available_budget_j,

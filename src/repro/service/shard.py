@@ -16,7 +16,11 @@ individual sessions beyond their global open order.
 **Relaying**: ``step``, ``report``, ``snapshot`` and ``close`` pass
 through as bytes — the request line goes to the worker as the client
 wrote it, ``rid`` and all, and an ok reply comes back undecoded
-(:meth:`ShardRouter._relay`).
+(:meth:`ShardRouter._relay`).  They also start on arrival, while the
+lines ahead of them on their connection are in flight, unless a
+rebalance boundary is in flight (:meth:`ShardRouter._start_early`);
+every other verb waits for the lines ahead of it and holds the lines
+behind it.  Replies leave in request order.
 
 **Budget coherence** uses the zero-sum lease scheme of
 :class:`~repro.service.lease.LeaseLedger`: workers boot with a
@@ -33,8 +37,9 @@ to microjoule dust.
 **Rebalancing** is router-driven (workers run with
 ``--external-rebalance``): the router counts heartbeats fleet-wide,
 and on the single-process cadence gathers ``admin_rebalance_inputs``
-from every worker, merges them in *global open order*, computes the
-plan with the very :func:`~repro.core.multi.plan_rebalance` a
+from every worker at once, merges them in *global open order*,
+computes the plan with the very
+:func:`~repro.core.multi.plan_rebalance` a
 single-process manager uses (bit-identical inputs, bit-identical
 deltas — the cross-shard lockstep rig's core claim), and pushes each
 worker its slice via ``admin_rebalance_apply``.  Client batches are
@@ -49,13 +54,15 @@ can never collide with the dead worker's.  Workers share the router's
 ``--state-dir``, so reopened sessions warm-start from the snapshot
 store across the crash.
 
-Known serialization caveats (documented, asserted by the lockstep rig
-only under serial driving): the router pipelines all client
-connections onto one :class:`~repro.service.transport.LineChannel` per
-worker, answered in order, so a THROTTLE sleep on one session delays
-that worker's other sessions; and a rebalance gathers inputs
-worker-by-worker, so opens racing a rebalance on another connection
-may observe a mid-transfer pool.
+Known serialization caveats (the lockstep rig asserts equivalence
+for one client connection, pipelined or not): the router pipelines all
+client connections onto one
+:class:`~repro.service.transport.LineChannel` per worker, answered in
+order, so a THROTTLE sleep on one session delays that worker's other
+sessions; and across connections the global heartbeat order — which
+the rebalance cadence counts — depends on timing, and an open on one
+connection may race a rebalance driven by another and observe a
+mid-transfer pool.
 """
 
 from __future__ import annotations
@@ -252,6 +259,9 @@ class ShardRouter(LineServer):
         self._open_order: "OrderedDict[str, None]" = OrderedDict()
         self._opens = 0
         self._steps_since_rebalance = 0
+        #: Steps started toward a worker and not yet finished; with the
+        #: count above, what the rebalance cadence has committed to.
+        self._steps_sent = 0
         self._rebalance_lock = asyncio.Lock()
         self._restart_lock = asyncio.Lock()
         self.rids = RidCache()
@@ -667,8 +677,59 @@ class ShardRouter(LineServer):
         return handle
 
     # -- client-facing server --------------------------------------------------
-    async def handle_line(self, line: bytes) -> Response:
+    @staticmethod
+    def _decoded(line: bytes) -> Tuple[bytes, Any]:
+        """``(line, message)``, or ``(line, error)`` if it fails to decode."""
+        try:
+            return line, decode_message(line)
+        except ProtocolError as exc:
+            return line, exc
+
+    def _start_early(self, request: Any) -> Any:
+        """Start a relayed line on arrival, or hold it (the transport hook).
+
+        A relayed verb starts while steps counted since the last
+        rebalance plus steps sent and not yet counted stay below
+        ``rebalance_period``, so no line reaches a worker between the
+        boundary step and its rebalance.  Every other line, and one
+        that fails to decode, is held.
+        """
+        if isinstance(request, bytes):
+            request = self._decoded(request)
+        message = request[1]
+        if (
+            isinstance(message, dict)
+            and message.get("type") in _RELAYED
+            and self._steps_since_rebalance + self._steps_sent
+            < self.rebalance_period
+        ):
+            return asyncio.ensure_future(self._serve_line(request))
+        return request
+
+    def _serve_line(self, request: Any) -> Any:
+        """Answer a line, decoded once, with :meth:`handle_line`.
+
+        A step counts as sent until the task answering it is done.
+        """
+        line, message = (
+            request if isinstance(request, tuple) else self._decoded(request)
+        )
+        answer = self.handle_line(line, message)
+        if isinstance(message, dict) and message.get("type") == "step":
+            self._steps_sent += 1
+            answer = asyncio.ensure_future(answer)
+            answer.add_done_callback(self._step_done)
+        return answer
+
+    def _step_done(self, _: Any) -> None:
+        self._steps_sent -= 1
+
+    async def handle_line(self, line: bytes, message: Any = None) -> Response:
         """Decode, route, and answer one request line.
+
+        ``message`` is the line already decoded, or the
+        :class:`ProtocolError` decoding it raised; ``None`` decodes
+        ``line`` here.
 
         The single daemon's rid contract, owned here through
         :meth:`RidCache.run`: a retry the router has answered never
@@ -680,7 +741,10 @@ class ShardRouter(LineServer):
         of it.
         """
         try:
-            message = decode_message(line)
+            if message is None:
+                message = decode_message(line)
+            elif isinstance(message, ProtocolError):
+                raise message
             rid = request_id_of(message)
         except ProtocolError as exc:
             return error_response(exc.code, exc.message)
@@ -963,18 +1027,23 @@ class ShardRouter(LineServer):
     async def _rebalance(self) -> Dict[str, float]:
         """One fleet-wide rebalance round, scatter-gather style.
 
-        Gathers per-session inputs from every worker, merges them in
-        global open order (the single-process dict order), plans with
+        Gathers per-session inputs from every worker at once, merges
+        them in global open order (the single-process dict order),
+        whatever order the replies came in, plans with
         the shared pure :func:`plan_rebalance`, and applies each
         worker's slice — net donors first, so the lease pool always
         holds the joules a net receiver is about to be granted.
         """
         gathered: Dict[str, Tuple[float, float]] = {}
         owner: Dict[str, WorkerHandle] = {}
-        for handle in list(self._workers):
-            response = await self._forward(
-                handle, {"type": "admin_rebalance_inputs"}
+        workers = list(self._workers)
+        responses = await asyncio.gather(
+            *(
+                self._forward(handle, {"type": "admin_rebalance_inputs"})
+                for handle in workers
             )
+        )
+        for handle, response in zip(workers, responses):
             if not response.get("ok"):
                 continue  # crashed worker: its sessions are gone
             surpluses = response.get("surpluses", {})

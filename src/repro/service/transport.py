@@ -2,18 +2,23 @@
 
 Every connection carries newline-delimited protocol messages
 (:mod:`repro.service.protocol`) through an :class:`asyncio.Protocol`,
-with no stream reader, per-request task or lock:
+with no stream reader or lock:
 
 * :class:`LineConnection` serves one client of a :class:`LineServer`
   (the daemon, the shard router).  Replies leave in request order.
   While nothing is queued, a synchronous answer (the daemon's
   ``handle_line``) is written from ``data_received``; what must
-  suspend (the router, chaos delays, THROTTLE holds) is awaited
-  by the connection's one long-lived task, later lines queued behind
-  it.  Reading pauses at 64 queued lines, answering while the write
-  buffer is full.  A disconnect cancels the request in flight and
-  drops the queue unexecuted; a line over ``MAX_LINE_BYTES`` is
-  answered ``bad_request`` and ends the connection.
+  suspend (chaos delays, THROTTLE holds, a router verb that holds
+  the lines behind it) is awaited by the connection's one long-lived
+  task, later lines queued behind it.  A server with a
+  ``_start_early`` hook (the router) may instead start a line on
+  arrival, as its own task, while lines ahead of it are still in
+  flight; lines start in arrival order, never behind a line the
+  connection task is serving.  Reading pauses at 64 queued or
+  started lines, starting and serving while the write buffer is
+  full.  A disconnect cancels the lines in flight and drops the
+  queue unexecuted; a line over ``MAX_LINE_BYTES`` is answered
+  ``bad_request`` and ends the connection.
 * :class:`LineChannel` is the router's pipelined link to one worker:
   requests are written in call order and each reply line resolves the
   oldest waiting future; a cancelled waiter still consumes its own.
@@ -26,10 +31,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import inspect
 import os
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Set, Tuple
+from typing import Any, Callable, Deque, List, Optional, Set, Tuple
 
 from . import protocol
 
@@ -48,12 +54,16 @@ class LineConnection(asyncio.Protocol):
     def __init__(self, server: "LineServer") -> None:
         self._server = server
         self._serve = server._serve_line
+        self._early = server._start_early
         self._loop = asyncio.get_running_loop()
         self._transport: Any = None
         self._partial = b""
+        #: Lines not yet started, in arrival order.
         self._queue: Deque[Any] = deque()
-        #: True while the task owns the queue (non-empty or executing).
-        self._busy = False
+        #: Lines started early, ahead of the queue, in arrival order.
+        self._started: Deque["asyncio.Future[Any]"] = deque()
+        #: True while the task serves a line; nothing starts behind it.
+        self._serving = False
         self._task: Optional["asyncio.Task[None]"] = None
         self._wakeup: Optional["asyncio.Future[None]"] = None
         self._writable: Optional["asyncio.Future[None]"] = None
@@ -70,21 +80,25 @@ class LineConnection(asyncio.Protocol):
         self._server._live.discard(self)
         self._drop()
 
-    def abort(self) -> Optional["asyncio.Task[None]"]:
-        """Drop the connection; return its task, now cancelled."""
+    def abort(self) -> List["asyncio.Future[Any]"]:
+        """Drop the connection; return its tasks, now cancelled."""
         self._transport.abort()
         return self._drop()
 
-    def _drop(self) -> Optional["asyncio.Task[None]"]:
-        """Cancel the request in flight; queued lines die unexecuted."""
+    def _drop(self) -> List["asyncio.Future[Any]"]:
+        """Cancel the lines in flight; queued lines die unexecuted."""
         self._input_done = True
         for item in self._queue:
             if asyncio.iscoroutine(item):
                 item.close()
         self._queue.clear()
+        tasks = list(self._started)
+        self._started.clear()
         if self._task is not None:
-            self._task.cancel()
-        return self._task
+            tasks.append(self._task)
+        for task in tasks:
+            task.cancel()
+        return tasks
 
     def data_received(self, data: bytes) -> None:
         if self._input_done:
@@ -116,10 +130,13 @@ class LineConnection(asyncio.Protocol):
         ``item`` is a request line (``bytes``), a ready response dict,
         ``None`` (close the connection) or an awaitable resolving to a
         response.  A reply line ``_serve`` returns is never queued: a
-        queued ``bytes`` item is always a request.
+        queued ``bytes`` item is always a request, as is whatever else
+        the early-start hook held one as.  A server with that hook gets
+        every line queued, even the first.
         """
-        if not self._busy and self._writable is None:
-            if isinstance(item, bytes):
+        idle = not (self._queue or self._started or self._serving)
+        if idle and self._writable is None:
+            if isinstance(item, bytes) and self._early is None:
                 item = self._serve(item)
                 if isinstance(item, bytes):
                     return self._reply(item)
@@ -128,40 +145,85 @@ class LineConnection(asyncio.Protocol):
             if item is None:
                 return self._finish()
         self._queue.append(item)
-        self._busy = True
-        if self._task is None:
-            self._task = self._loop.create_task(self._run())
-        elif self._wakeup is not None and not self._wakeup.done():
-            self._wakeup.set_result(None)
-        if len(self._queue) >= _READAHEAD_LINES:
+        if len(self._queue) + len(self._started) >= _READAHEAD_LINES:
             self._transport.pause_reading()
+        self._advance()
+
+    def _advance(self) -> None:
+        """Start queued lines early while the server lets them.
+
+        Lines start in arrival order and never behind a line the task
+        is serving.  A line the server holds waits until nothing is
+        ahead of it, then the task serves it.
+        """
+        queue = self._queue
+        if self._early is not None:
+            while queue and not self._serving and self._writable is None:
+                item = queue[0]
+                if item is None or isinstance(item, dict):
+                    break
+                started = self._early(item)
+                if not asyncio.isfuture(started):
+                    queue[0] = started
+                    break
+                queue.popleft()
+                started.add_done_callback(self._answered)
+                self._started.append(started)
+        if queue and not self._started and not self._serving:
+            if self._task is None:
+                self._task = self._loop.create_task(self._run())
+            elif self._wakeup is not None and not self._wakeup.done():
+                self._wakeup.set_result(None)
+
+    def _answered(self, _: Any) -> None:
+        """Reply for the early lines that are done and next in order."""
+        started = self._started
+        try:
+            while started and started[0].done():
+                response = started.popleft().result()
+                if not self._input_done:
+                    self._transport.resume_reading()
+                if response is None:
+                    return self._finish()
+                self._reply(response)
+        except BaseException:  # as in _run: a failed line ends the connection
+            self._finish()
+            raise
+        self._advance()
 
     def _pop(self) -> Any:
-        if not self._queue:
-            self._busy = False
+        """The next held line for the task to serve, or ``_IDLE``."""
+        if self._started or not self._queue:
             self._wakeup = self._loop.create_future()
             return _IDLE
+        self._serving = True
         if not self._input_done:
             self._transport.resume_reading()
         return self._queue.popleft()
 
     async def _run(self) -> None:
-        """The connection's one task: serve queued items in order."""
+        """The connection's one task: serve the lines held in turn."""
         try:
             while True:
+                if self._writable is not None:
+                    await self._writable
                 item = self._pop()
                 if item is _IDLE:
                     await self._wakeup
                     continue
-                if self._writable is not None:
-                    await self._writable
-                if isinstance(item, bytes):
+                if not (
+                    item is None
+                    or isinstance(item, dict)
+                    or inspect.isawaitable(item)
+                ):
                     item = self._serve(item)
                 if item is not None and not isinstance(item, (dict, bytes)):
                     item = await item
+                self._serving = False
                 if item is None:
                     return
                 self._reply(item)
+                self._advance()
         finally:
             self._finish()
 
@@ -182,6 +244,7 @@ class LineConnection(asyncio.Protocol):
         writable, self._writable = self._writable, None
         if writable is not None and not writable.done():
             writable.set_result(None)
+        self._advance()
 
 
 class LineServer:
@@ -193,6 +256,14 @@ class LineServer:
     """
 
     handle_line: Callable[[bytes], Any]
+
+    #: The hook that starts a line before the lines ahead of it on its
+    #: connection finish.  Given a queued line — as read, or as the
+    #: hook returned it last time — it returns a future of the answer
+    #: if the line started, else the line to hold, which
+    #: :meth:`_serve_line` serves once nothing is ahead of it.  ``None``
+    #: (the daemon): every line waits for the lines ahead of it.
+    _start_early: Optional[Callable[[Any], Any]] = None
 
     def __init__(
         self,
@@ -243,10 +314,9 @@ class LineServer:
         live, self._live = self._live, set()
         for server in servers:
             server.close()
-        for task in [conn.abort() for conn in live]:
-            if task is not None:
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
+        for task in [task for conn in live for task in conn.abort()]:
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
         await asyncio.sleep(0)  # let the aborted transports finish closing
         for server in servers:
             await server.wait_closed()

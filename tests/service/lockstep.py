@@ -13,31 +13,46 @@ mapped back to the script's slot numbers).
 A script is a list of *waves*; each wave's slots are opened together
 and then driven round-robin — slot order, frame by frame — until every
 slot in the wave has finished (completed its steps, been killed, or
-been rejected at admission).  Serial round-robin driving matters: the
-router guarantees decision-for-decision equality only when requests
-are serialized, because that fixes the global heartbeat order that the
-rebalance cadence counts.
+been rejected at admission).
 
-Measurement sources are *closed-loop*: each heartbeat is computed from
-the previous decision the daemon returned, exactly like a real client.
-Equality is therefore inductive — identical decisions yield identical
-measurements yield identical next decisions — and a single divergent
-float anywhere breaks every event after it, which is what makes the
-comparison sharp.
+:func:`run_pipeline` drives a fixed request stream instead, over one
+raw connection with up to ``depth`` requests in flight.  The router
+guarantees decision-for-decision equality for one connection, pipelined
+or not: its lines reach the workers in the order written, a barrier
+verb (``open_session``, ``batch_step``, ...) waits for everything ahead
+of it, and no line passes a rebalance boundary early.  Several
+connections interleave by timing, which the rebalance cadence counts,
+so equality is not claimed there.
+
+In :func:`run_script` measurement sources are *closed-loop*: each
+heartbeat is computed from the previous decision the daemon returned,
+exactly like a real client.  Equality is therefore inductive —
+identical decisions yield identical measurements yield identical next
+decisions — and a single divergent float anywhere breaks every event
+after it, which is what makes the comparison sharp.  A pipelined
+client cannot wait for a decision before its next heartbeat, so
+:func:`run_pipeline` sends seeded open-loop heartbeats; a divergent
+rebalance still shows in every later budget and decision.
 """
 
 from __future__ import annotations
 
+import json
+import random
+import socket
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.types import Measurement
 from repro.service import ServiceClient, ServiceError
 from repro.service.client import _SimMeasurements
 
 __all__ = [
+    "PipeSlot",
     "SlotSpec",
     "assert_traces_equal",
+    "run_pipeline",
     "run_script",
 ]
 
@@ -242,6 +257,136 @@ def run_script(
                     continue
                 _drive_frame(client, base + offset, slot, trace)
         base += len(wave)
+    return trace
+
+
+@dataclass(frozen=True)
+class PipeSlot:
+    """One session of a pipelined stream, fed open-loop heartbeats.
+
+    Each heartbeat does work 1.0 and burns ``burn`` of the granted
+    budget, jittered ±20 % by a ``seed``-ed RNG: ``burn`` near
+    ``1 / steps`` spends the grant over the session's life, while a
+    large ``burn`` marches the session up the enforcement ladder.
+    """
+
+    machine: str = "tablet"
+    app: str = "x264"
+    factor: float = 1.5
+    steps: int = 40
+    seed: int = 0
+    burn: float = 0.0225
+    warm_start: bool = True
+
+
+def _open_request(slot: int, spec: PipeSlot) -> Dict[str, Any]:
+    return {
+        "type": "open_session",
+        "machine": spec.machine,
+        "app": spec.app,
+        "factor": spec.factor,
+        "total_work": float(spec.steps),
+        "seed": spec.seed,
+        "warm_start": spec.warm_start,
+        "client": f"pipe{slot}",
+    }
+
+
+def _heartbeat(
+    rng: random.Random, spec: PipeSlot, granted_j: float
+) -> Dict[str, float]:
+    energy_j = spec.burn * granted_j * rng.uniform(0.8, 1.2)
+    rate = 20.0 * rng.uniform(0.8, 1.2)
+    return {
+        "work": 1.0,
+        "energy_j": energy_j,
+        "rate": rate,
+        "power_w": energy_j * rate,
+    }
+
+
+def _normalized(response: Dict[str, Any]) -> Any:
+    """A reply with daemon-specific ids and error wording stripped."""
+    if not response.get("ok", False):
+        return ("error", response.get("error", {}).get("code"))
+    return _freeze_without_ids(response)
+
+
+def _freeze_without_ids(value: Any) -> Any:
+    if isinstance(value, dict):
+        return tuple(sorted(
+            (key, _freeze_without_ids(item))
+            for key, item in value.items()
+            if key not in ("session", "rid")
+        ))
+    if isinstance(value, list):
+        return tuple(_freeze_without_ids(item) for item in value)
+    return value
+
+
+def run_pipeline(
+    path: str,
+    slots: Sequence[PipeSlot],
+    ops: Sequence[Tuple[str, int, int]],
+    depth: int,
+) -> List[Tuple]:
+    """Stream ``ops`` over one connection, ``depth`` requests in flight.
+
+    An op is ``(verb, slot, n)``: ``open`` opens slot ``slot``;
+    ``step`` sends one heartbeat and ``batch`` a ``batch_step`` of
+    ``n``; ``report``, ``snapshot`` and ``close`` ask just that.  An op
+    on a slot whose open has not been answered yet waits for it, so a
+    mid-stream open drains the pipeline — as its barrier would anyway.
+    Returns each op's normalized reply, in op order.
+    """
+    rngs = [random.Random(spec.seed) for spec in slots]
+    sessions: Dict[int, Tuple[str, float]] = {}
+    pending: Deque[Tuple[int, str, int]] = deque()
+    trace: List[Tuple] = [()] * len(ops)
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(60.0)
+    sock.connect(path)
+    wire = sock.makefile("rwb")
+
+    def receive() -> None:
+        index, verb, slot = pending.popleft()
+        response = json.loads(wire.readline())
+        if verb == "open" and response.get("ok"):
+            sessions[slot] = (
+                response["session"], response["granted_budget_j"]
+            )
+        trace[index] = (verb, slot, _normalized(response))
+
+    try:
+        for index, (verb, slot, n) in enumerate(ops):
+            spec = slots[slot]
+            if verb == "open":
+                request = _open_request(slot, spec)
+            else:
+                while slot not in sessions and pending:
+                    receive()
+                session, granted_j = sessions[slot]
+                request = {"type": verb, "session": session}
+                if verb == "step":
+                    request["measurement"] = _heartbeat(
+                        rngs[slot], spec, granted_j
+                    )
+                elif verb == "batch":
+                    request["type"] = "batch_step"
+                    request["measurements"] = [
+                        _heartbeat(rngs[slot], spec, granted_j)
+                        for _ in range(n)
+                    ]
+            wire.write(json.dumps(request).encode() + b"\n")
+            wire.flush()
+            pending.append((index, verb, slot))
+            if len(pending) >= depth:
+                receive()
+        while pending:
+            receive()
+    finally:
+        wire.close()
+        sock.close()
     return trace
 
 

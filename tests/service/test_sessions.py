@@ -5,6 +5,7 @@ import pytest
 from repro.apps import build_application
 from repro.core.types import Measurement
 from repro.hw import get_machine
+from repro.runtime import prior_shapes
 from repro.runtime.oracle import (
     default_energy_per_work,
     max_feasible_factor,
@@ -372,11 +373,46 @@ class TestGlobalBudgetRevision:
     def test_revision_is_recorded(self):
         mgr = manager(budget_j=1e6)
         mgr.revise_global_budget(5e5)
-        record = mgr.budget_revisions[-1]
+        record = [
+            event.as_dict()
+            for event in mgr.telemetry.events.since(0)
+            if event.kind == "budget_revision"
+        ][-1]
         assert record["requested_j"] == 5e5
+        assert record["applied_j"] == 5e5
         assert record["previous_j"] == 1e6
+        assert mgr.budget_revisions == 1
 
     def test_nonpositive_budget_rejected(self):
         mgr = manager()
         with pytest.raises(ValueError):
             mgr.revise_global_budget(0.0)
+
+
+class TestPriorShapesCache:
+    def test_two_opens_on_one_machine_share_the_shapes(self, monkeypatch):
+        from repro.service import sessions as sessions_module
+
+        computed = []
+
+        def counting(machine):
+            computed.append(machine.name)
+            return prior_shapes(machine)
+
+        monkeypatch.setattr(sessions_module, "prior_shapes", counting)
+        mgr = manager()
+        first = open_default(mgr, seed=1)
+        second = mgr.open_session(
+            "tablet", "bodytrack", factor=1.5, total_work=50.0, seed=2
+        )
+        assert computed == ["tablet"]
+        rates, powers = mgr._prior_shapes(get_machine("tablet"))
+        assert not rates.flags.writeable and not powers.flags.writeable
+        for session in (first, second):
+            seo = session.runtime.seo
+            assert seo._rate_shape.tobytes() == rates.tobytes()
+            assert seo._power_shape.tobytes() == powers.tobytes()
+        mgr.open_session(
+            "server", "x264", factor=1.5, total_work=50.0, seed=3
+        )
+        assert computed == ["tablet", "server"]

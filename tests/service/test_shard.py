@@ -326,8 +326,10 @@ class TestRidExpiryOnConnectionClose:
     returned — forever, for a wedged worker — because the connection
     loop could not see the close while awaiting the dispatch.  The
     line transport sees the close immediately, cancels the dispatch,
-    and the unwind expires the reservation; lines a vanished client
-    pipelined behind the hung request are dropped unexecuted.
+    and the unwind expires the reservation.  Relayed lines a client
+    pipelines start on arrival, so they reach their worker as a single
+    daemon would execute every line it has read; lines held behind a
+    barrier verb die with the connection unexecuted.
     """
 
     def _router(self):
@@ -393,35 +395,38 @@ class TestRidExpiryOnConnectionClose:
         router = self._router()
         started = None
         calls = []
+        barriers = []
 
         async def hung_step(message, line):
-            calls.append(message)
-            started.set()
+            calls.append(message["rid"])
+            if len(calls) == 2:
+                started.set()
             await asyncio.Event().wait()
+
+        async def metrics(message):
+            barriers.append(message)
+            return {"ok": True, "type": "metrics", "samples": []}
+
+        def step(i):
+            payload = {"type": "step", "rid": f"pipe-{i}", "session": "s"}
+            return json.dumps(payload).encode() + b"\n"
 
         async def scenario():
             nonlocal started
             started = asyncio.Event()
             router._handle_step = hung_step
+            router._handle_metrics = metrics
             path = str(tmp_path / "router.sock")
             server = await asyncio.get_running_loop().create_unix_server(
                 router._new_connection, path=path
             )
             try:
                 _, writer = await asyncio.open_unix_connection(path)
-                for i in range(3):
-                    writer.write(
-                        json.dumps(
-                            {
-                                "type": "step",
-                                "rid": f"pipe-{i}",
-                                "session": "s",
-                            }
-                        ).encode()
-                        + b"\n"
-                    )
+                writer.write(step(0) + step(1))
+                writer.write(b'{"type": "metrics"}\n' + step(3))
                 await writer.drain()
                 await asyncio.wait_for(started.wait(), timeout=5.0)
+                assert set(router.rids.inflight) == {"pipe-0", "pipe-1"}
                 writer.close()
                 await writer.wait_closed()
                 for _ in range(500):
@@ -430,10 +435,12 @@ class TestRidExpiryOnConnectionClose:
                     await asyncio.sleep(0.01)
                 assert router.rids.inflight == {}
                 await asyncio.sleep(0.05)
-                # Only the request that was already executing ever
-                # reached dispatch; the pipelined rest died with the
-                # connection.
-                assert len(calls) == 1
+                # Both relayed steps reached dispatch on arrival; the
+                # barrier waited for them, and it and the step behind
+                # it died with the connection.
+                assert calls == ["pipe-0", "pipe-1"]
+                assert barriers == []
+                assert router._steps_sent == 0
             finally:
                 server.close()
                 await server.wait_closed()
