@@ -14,7 +14,12 @@ for the daemon's telemetry without a dependency:
 
 All operations are plain dict lookups and float adds: cheap enough to
 sit on the daemon's per-step hot path (the throughput benchmark gates
-the overhead at 5 %).
+the overhead at 5 %).  ``labels(...)`` first looks its positional
+values up as they are, which hits whenever they are already the
+strings of an existing child (an unlabelled family's ``()`` always
+does); only a miss pays for building the key with ``str()`` and for
+the arity check, so ``labels(5)`` still finds the ``"5"`` child and a
+wrong arity still raises.
 """
 
 from __future__ import annotations
@@ -97,6 +102,14 @@ class Metric:
 
     def labels(self, *values: Any, **kwvalues: Any) -> Any:
         """The child for one label-value combination (created on use)."""
+        if not kwvalues:
+            # Values passed as strings are already the key.
+            try:
+                child = self._children.get(values)
+            except TypeError:  # an unhashable value: str() it below
+                child = None
+            if child is not None:
+                return child
         if kwvalues:
             if values:
                 raise ValueError(

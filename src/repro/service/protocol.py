@@ -59,7 +59,11 @@ writes compact JSON with sorted keys, so one message has exactly one
 encoding.  The shard router relies on it to pass worker replies back
 without decoding them — it recognises an ok reply by its first key —
 so a change to the key order or layout here changes what the router
-relays.
+relays.  The one encoder is built at import, not per message; it
+writes the bytes ``json.dumps(..., separators=(",", ":"),
+sort_keys=True)`` writes, and threads may share it (each
+:meth:`json.JSONEncoder.encode` call keeps its own circular-reference
+markers).
 """
 
 from __future__ import annotations
@@ -159,11 +163,15 @@ class ProtocolError(Exception):
 
 
 # -- framing ------------------------------------------------------------------
+#: The canonical encoder: compact separators, sorted keys.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def encode_message(payload: Mapping[str, Any]) -> bytes:
     """One protocol message: compact JSON plus the line terminator."""
-    return json.dumps(
-        dict(payload), separators=(",", ":"), sort_keys=True
-    ).encode("utf-8") + b"\n"
+    if type(payload) is not dict:
+        payload = dict(payload)
+    return _ENCODER.encode(payload).encode("utf-8") + b"\n"
 
 
 def decode_message(line: bytes) -> Dict[str, Any]:
@@ -307,7 +315,9 @@ def measurement_payload(
 
 def measurement_from_payload(payload: Any) -> Measurement:
     """Decode and validate a ``step`` request's measurement."""
-    if not isinstance(payload, Mapping):
+    # The exact-type test first: a decoded line holds plain dicts, and
+    # the ``Mapping`` ABC check costs more than the rest of the decode.
+    if type(payload) is not dict and not isinstance(payload, Mapping):
         raise ProtocolError(
             "bad_request", "'measurement' must be an object"
         )
@@ -370,7 +380,7 @@ def batch_measurements_from_payload(
 
 def sensor_ok_from_payload(payload: Any) -> bool:
     """Whether a ``step`` measurement carries trustworthy sensor data."""
-    if not isinstance(payload, Mapping):
+    if type(payload) is not dict and not isinstance(payload, Mapping):
         return True
     return bool(payload.get("sensor_ok", True))
 

@@ -128,9 +128,9 @@ class RidCache:
         moment its client vanishes), the reservation expires and the
         duplicates parked on it wake, re-check the cache and the
         reservations, and the first of them executes afresh; the rest
-        park on that execution.  A relayed original that had reached
-        its worker is answered there from the worker's own rid cache,
-        so the session is not stepped twice.
+        park on that execution.  The router does not cancel an
+        execution that has sent its request to a worker, so that
+        reservation holds until the reply is cached.
         """
         while True:
             reply = self.replay(rid)

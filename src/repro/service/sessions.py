@@ -855,7 +855,14 @@ class SessionManager:
         survives any schedule of transfers.  The plan is the pure
         :func:`~repro.core.multi.plan_rebalance`; application is the
         all-or-nothing :meth:`apply_rebalance`.
+
+        With fewer than two live sessions the plan is all zeros (one
+        account cannot be both donor and needer), so the round is
+        counted without gathering inputs or applying anything.
         """
+        if len(self._sessions) < 2:
+            self.rebalances += 1
+            return dict.fromkeys(self._sessions, 0.0)
         surpluses, overdrafts = self.rebalance_inputs()
         deltas = plan_rebalance(
             surpluses, overdrafts, self.transfer_fraction

@@ -131,6 +131,25 @@ _RELAYED = ("step", "report", "snapshot", "close")
 _OK_PREFIXES = (b'{"decision":', b'{"ok":true')
 
 
+class _LineTask(asyncio.Task):
+    """A router line's task, which runs to the end once it reached a worker.
+
+    The transport cancels the lines a connection has started when its
+    client hangs up.  A line a worker has received is run by the
+    worker, so the router must finish it too: count the step, end the
+    closed session, track the admitted one, cache the reply under its
+    rid.  From :meth:`ShardRouter._call_worker`'s first write on,
+    ``cancel()`` is refused and only the reply is dropped.
+    """
+
+    sent = False
+
+    def cancel(self, msg: Any = None) -> bool:
+        if self.sent:
+            return False
+        return super().cancel(msg)
+
+
 def _hash64(key: str) -> int:
     return int.from_bytes(
         hashlib.sha256(key.encode("utf-8")).digest()[:8], "big"
@@ -549,9 +568,11 @@ class ShardRouter(LineServer):
         """
         if handle.channel is None:
             raise ConnectionError("worker connection is down")
-        reply = await handle.channel.request(
-            line or self._worker_line(payload)
-        )
+        line = line or self._worker_line(payload)
+        task = asyncio.current_task()
+        if isinstance(task, _LineTask):
+            task.sent = True
+        reply = await handle.channel.request(line)
         self.m_requests.labels(
             handle.name, str(payload.get("type", "?"))
         ).inc()
@@ -703,21 +724,22 @@ class ShardRouter(LineServer):
             and self._steps_since_rebalance + self._steps_sent
             < self.rebalance_period
         ):
-            return asyncio.ensure_future(self._serve_line(request))
+            return self._serve_line(request)
         return request
 
     def _serve_line(self, request: Any) -> Any:
         """Answer a line, decoded once, with :meth:`handle_line`.
 
-        A step counts as sent until the task answering it is done.
+        Each line runs in a :class:`_LineTask`, which a hang-up no
+        longer cancels once the line has reached a worker.  A step
+        counts as sent until its task is done.
         """
         line, message = (
             request if isinstance(request, tuple) else self._decoded(request)
         )
-        answer = self.handle_line(line, message)
+        answer = _LineTask(self.handle_line(line, message))
         if isinstance(message, dict) and message.get("type") == "step":
             self._steps_sent += 1
-            answer = asyncio.ensure_future(answer)
             answer.add_done_callback(self._step_done)
         return answer
 

@@ -103,3 +103,53 @@ class TestRegistry:
             Counter("9starts_with_digit", "help")
         with pytest.raises(ValueError):
             Counter("jg_ok_total", "help", ("__reserved",))
+
+
+class TestLabelsLookup:
+    """``labels()`` finds an existing child before building its key."""
+
+    def test_string_values_return_the_same_child(self):
+        counter = Counter("jg_req_total", "help", ("type", "ok"))
+        child = counter.labels("step", "true")
+        assert counter.labels("step", "true") is child
+
+    def test_non_string_values_find_their_string_child(self):
+        gauge = Gauge("jg_g", "help", ("worker",))
+        five = gauge.labels("5")
+        assert gauge.labels(5) is five
+        flag = gauge.labels("True")
+        assert gauge.labels(True) is flag
+        # ...and create it under the string when it does not exist.
+        gauge.labels(7).set(1.0)
+        assert gauge.labels("7").value == 1.0
+        assert sorted(dict(s.labels)["worker"] for s in gauge.samples()) == [
+            "5",
+            "7",
+            "True",
+        ]
+
+    def test_wrong_arity_raises_after_a_child_exists(self):
+        counter = Counter("jg_req_total", "help", ("type", "ok"))
+        counter.labels("step", "true").inc()
+        with pytest.raises(ValueError):
+            counter.labels("step")
+        with pytest.raises(ValueError):
+            counter.labels("step", "true", "extra")
+        unlabelled = Counter("jg_test_total", "help")
+        unlabelled.inc()
+        with pytest.raises(ValueError):
+            unlabelled.labels("nope")
+
+    def test_keyword_labels_reach_the_positional_child(self):
+        counter = Counter("jg_req_total", "help", ("type", "ok"))
+        child = counter.labels("step", "true")
+        assert counter.labels(ok="true", type="step") is child
+        with pytest.raises(ValueError):
+            counter.labels(type="step")
+        with pytest.raises(ValueError):
+            counter.labels("step", ok="true")
+
+    def test_unhashable_values_are_stringified(self):
+        gauge = Gauge("jg_g", "help", ("shape",))
+        gauge.labels([1, 2]).set(3.0)
+        assert gauge.labels("[1, 2]").value == 3.0

@@ -9,6 +9,9 @@ and the connection loop never dies on a malformed frame.
 
 import json
 import math
+from collections import OrderedDict
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +86,66 @@ def test_encoding_is_canonical(message):
     # Key order in the input never changes the bytes on the wire.
     shuffled = dict(reversed(list(message.items())))
     assert encode_message(message) == encode_message(shuffled)
+
+
+class _View(Mapping):
+    """A read-only Mapping that is not a dict."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+# Every float the encoder may meet, the non-finite ones included: a
+# daemon never sends them, but the encoder must not change what it
+# would write for them.
+wire_floats = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 1e300, -1.7976931348623157e308,
+         5e-324, 1e16, 0.1]
+    ),
+)
+
+wire_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        wire_floats,
+        st.text(max_size=20),  # any code point, non-ASCII included
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.text(max_size=10), children, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+wire_payloads = st.dictionaries(
+    st.text(max_size=20), wire_values, max_size=8
+).flatmap(
+    lambda items: st.sampled_from(
+        [items, OrderedDict(items), MappingProxyType(items), _View(items)]
+    )
+)
+
+
+@given(wire_payloads)
+def test_encoding_is_json_dumps_compact_and_sorted(payload):
+    # The encoder built once writes what a per-call json.dumps wrote.
+    expected = json.dumps(
+        dict(payload), separators=(",", ":"), sort_keys=True
+    ).encode() + b"\n"
+    assert encode_message(payload) == expected
 
 
 # -- malformed frames ----------------------------------------------------------

@@ -219,6 +219,42 @@ class TestBudgetInvariant:
         assert deltas[needer.session_id] == 0.0
         assert mgr.committed_budget_j == pytest.approx(total)
 
+    @pytest.mark.parametrize("energy_share", [0.5, 3.0])
+    def test_a_lone_session_rebalances_without_planning(
+        self, monkeypatch, energy_share
+    ):
+        # One account cannot be both donor and needer, so the plan is
+        # all zeros: the round is counted, nothing is gathered, and the
+        # plan equals the one the full path computes.
+        from repro.service import sessions as sessions_module
+
+        mgr = manager(rebalance_period=10_000)
+        assert mgr.rebalance() == {}
+        session = open_default(mgr, seed=4, total_work=100.0)
+        heartbeat = Measurement(
+            work=1.0,
+            energy_j=energy_share * session.granted_budget_j / 100.0,
+            rate=30.0,
+            power_w=18.0,
+        )
+        for _ in range(5):
+            mgr.step(session.session_id, heartbeat)
+        surpluses, overdrafts = mgr.rebalance_inputs()
+        planned = sessions_module.plan_rebalance(
+            surpluses, overdrafts, mgr.transfer_fraction
+        )
+        gathered = []
+        monkeypatch.setattr(
+            mgr, "rebalance_inputs", lambda: gathered.append(1)
+        )
+        committed_j = mgr.committed_budget_j
+        rounds = mgr.rebalances
+        assert mgr.rebalance() == planned == {session.session_id: 0.0}
+        assert gathered == []
+        assert mgr.rebalances == rounds + 1
+        assert mgr.stats()["rebalances"] == rounds + 1
+        assert mgr.committed_budget_j == committed_j
+
 
 class TestWarmStart:
     def test_second_session_restores_from_the_store(self):
