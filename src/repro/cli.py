@@ -30,7 +30,9 @@ Subcommands
     accuracy monotone in fault severity, runs replayable.  With
     ``--enforce``, run the enforcement-ladder scenario instead:
     escalating runaway sessions against a live manager, asserting
-    hard-tier sessions end with exactly zero budget overdraft.
+    hard-tier sessions end with zero budget overdraft (the ladder's
+    guarantee holds only under the assumptions stated on
+    ``repro.enforce.LadderPolicy``; the fleet finds counterexamples).
 ``dash``
     Live ascii dashboard over a running daemon's ``metrics`` and
     ``events`` verbs (``repro.obs``).

@@ -31,8 +31,11 @@ KILL is terminal.
 
 The tier is chosen from an :class:`OverdraftSignal` (projected
 overrun, burn fraction, and headroom measured in steps), computed the
-same way for daemon sessions (:mod:`repro.service.sessions`) and
-library coordinators (:class:`repro.core.multi.MultiAppCoordinator`).
+same way for daemon sessions (:mod:`repro.service.sessions`),
+library coordinators (:class:`repro.core.multi.MultiAppCoordinator`)
+and fleet pools (:class:`repro.fleet.SessionPool`): each rule of the
+ladder is one function of an array namespace, which the pool runs over
+``numpy`` arrays (:mod:`repro.core.floats`).
 """
 
 from .ladder import (
@@ -46,12 +49,6 @@ from .ladder import (
     monotone_transitions,
     overdraft_signal,
 )
-from .vector import (
-    desired_tier_array,
-    ladder_observe_array,
-    overdraft_signal_arrays,
-    throttle_s_array,
-)
 
 __all__ = [
     "DEFAULT_LADDER",
@@ -61,10 +58,6 @@ __all__ = [
     "OverdraftSignal",
     "Tier",
     "TierTransition",
-    "desired_tier_array",
-    "ladder_observe_array",
     "monotone_transitions",
     "overdraft_signal",
-    "overdraft_signal_arrays",
-    "throttle_s_array",
 ]

@@ -81,6 +81,7 @@ class CohortSpec:
         check(self.default_epw > 0, "default energy/work must be positive")
         check(0.0 < self.alpha <= 1.0, "alpha must be in (0, 1]")
         check(self.optimism >= 1.0, "optimism must be >= 1")
+        check(self.pole_margin >= 1.0, "pole margin must be >= 1")
         check(
             self.feasibility_slack >= 1.0, "feasibility_slack must be >= 1"
         )
