@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping
 
+from . import floats
 from .contracts import (
     check,
     invariant,
@@ -129,7 +130,10 @@ class SpeedupController:
         error = required - measured_rate
         unclamped = self.speedup + (1.0 - pole) * error / est_system_rate
         self.speedup = float(
-            min(max(unclamped, self.min_speedup), self.max_speedup)
+            floats.minimum(
+                floats.maximum(unclamped, self.min_speedup),
+                self.max_speedup,
+            )
         )
         return self.speedup
 

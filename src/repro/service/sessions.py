@@ -44,6 +44,7 @@ import numpy as np
 
 from ..apps import build_application
 from ..apps.base import ApproximateApplication
+from ..core import floats
 from ..core.bandit import SystemEnergyOptimizer
 from ..core.budget import EnergyGoal
 from ..core.jouleguard import Decision, JouleGuardRuntime
@@ -620,7 +621,7 @@ class SessionManager:
         if recorder is None:
             return
         accountant = session.runtime.accountant
-        burn = accountant.energy_used_j / max(
+        burn = accountant.energy_used_j / floats.maximum(
             accountant.effective_budget_j, 1e-12
         )
         recorder.record(
@@ -629,7 +630,7 @@ class SessionManager:
             session.runtime.seo.epsilon,
             burn,
             session.tier,
-            max(
+            floats.maximum(
                 0.0,
                 accountant.energy_used_j
                 - accountant.effective_budget_j,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from ..core import floats
 from ..enforce.ladder import Tier, TierTransition
 from ..obs.events import EventLog
 from ..obs.registry import MetricsRegistry
@@ -61,7 +62,7 @@ class SessionStepRecorder:
         overdraft_j: float,
     ) -> None:
         self._steps.inc()
-        self._energy.inc(max(0.0, energy_j))
+        self._energy.inc(floats.maximum(0.0, energy_j))
         self._pole.set(pole)
         self._epsilon.set(epsilon)
         self._burn.set(burn_fraction)
